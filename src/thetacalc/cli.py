@@ -194,9 +194,19 @@ def _cmd_mukai(args, cfg: CliConfig) -> dict:
     return out
 
 
+def _check_budget(n: int, k: int, term_budget: int) -> None:
+    """Refuse an enumeration of C(n,k) terms above the budget (exit 3).
+
+    An out-of-range (n, k) is left to the domain check of the computation.
+    """
+    if 0 <= k <= n:
+        vl._check_budget(n, k, term_budget)
+
+
 def _cmd_duality(args, cfg: CliConfig) -> dict:
     op = args.duality_op
     if op == "wedge":
+        _check_budget(args.n, args.k, cfg.term_budget)
         matrix = pdl.wedge_duality_matrix(args.n, args.k)
         out = {
             "n": args.n,
@@ -214,6 +224,7 @@ def _cmd_duality(args, cfg: CliConfig) -> dict:
         out["formula"] = "wedge_complement_pairing"
         return out
     if op == "sym":
+        _check_budget(args.wdim + args.n - 1, args.n, cfg.term_budget)
         matrix = pdl.sym_duality_matrix(args.wdim, args.n)
         return {
             "w_dim": args.wdim,
@@ -230,17 +241,15 @@ def _cmd_duality(args, cfg: CliConfig) -> dict:
     except (OSError, json.JSONDecodeError) as exc:
         raise DomainError(f"cannot read points file: {exc}")
     try:
-        z_config = pdl.PointConfig.from_json_dict({"model": data["model"], "points": data["Z"]})
-        w_config = pdl.PointConfig.from_json_dict({"model": data["model"], "points": data["W"]})
+        model = pdl.parse_model(data["model"])
+        z_points = [pdl.parse_point(p) for p in data["Z"]]
+        w_points = [pdl.parse_point(p) for p in data["W"]]
     except (KeyError, ValueError, TypeError) as exc:
         raise DomainError(f"malformed points file: {exc}")
-    model = z_config.section_model
-    z_points = list(z_config.points)
-    w_points = list(w_config.points)
-    vanishes = pdl.theta_vanishes(z_points, w_points, model)
+    rows = pdl.theta_rows(z_points, w_points, model)
     n = len(model)
     k = len(z_points)
-    rows = pdl.evaluation_matrix(z_points + w_points, model)
+    _check_budget(n, k, cfg.term_budget)
     determinant = pdl.det_exact(rows)
     alpha = pdl.wedge_coefficients(rows[:k], n, k)
     beta = pdl.wedge_coefficients(rows[k:], n, n - k)
@@ -249,7 +258,7 @@ def _cmd_duality(args, cfg: CliConfig) -> dict:
         "model": [list(e) for e in model],
         "Z": [[_frac(x), _frac(y)] for x, y in z_points],
         "W": [[_frac(x), _frac(y)] for x, y in w_points],
-        "vanishes": vanishes,
+        "vanishes": determinant == 0,
         "determinant": _frac(determinant),
         "pairing": _frac(pairing),
         "formula": "theta_divisor_membership",
@@ -301,7 +310,12 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="thetacalc", description=__doc__)
     parser.add_argument("--format", choices=FORMATS, help="output format (default json)")
     parser.add_argument("--config", help="path to a JSON config file")
-    parser.add_argument("--term-budget", type=int, help="maximum subset count for the rank-level sum")
+    parser.add_argument(
+        "--term-budget",
+        type=int,
+        help="maximum term count of an enumeration: C(r+k,k) subsets for verlinde, "
+        "C(n,k) for duality wedge and theta-vanishes, C(w+n-1,n) monomials for duality sym",
+    )
     parser.add_argument("--lattice", help="lattice preset name (default k3_elliptic)")
     parser.add_argument("--precision", type=int, help="decimal digits for the float oracle")
     sub = parser.add_subparsers(dest="command", required=True)

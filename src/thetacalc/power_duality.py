@@ -26,23 +26,32 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import DegenerateConfigError, DomainError
+from .errors import ArithmeticBugError, DegenerateConfigError, DomainError
 
 Rat = int | Fraction
 
 
 @lru_cache(maxsize=None)
 def subsets_colex(n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """All k-subsets of {1..n} in colexicographic order."""
+    """All k-subsets of {1..n} in colexicographic order.
+
+    Colex order compares subsets by their largest members first.  Drawn
+    from (n, n-1, ..., 1), combinations come as descending tuples in the
+    reverse of that order, so reversing both gives colex without a sort.
+    """
     if not 0 <= k <= n:
         raise DomainError(f"need 0 <= k <= n, got k={k}, n={n}")
-    return tuple(sorted(combinations(range(1, n + 1), k), key=lambda s: s[::-1]))
+    return tuple(s[::-1] for s in reversed(list(combinations(range(n, 0, -1), k))))
 
 
 def shuffle_sign(subset: tuple[int, ...]) -> int:
-    """Sign of the permutation (1..n) -> (subset ascending, complement ascending)."""
-    inversions = sum(s - i for i, s in enumerate(subset, start=1))
-    return -1 if inversions % 2 else 1
+    """Sign of the permutation (1..n) -> (subset ascending, complement ascending).
+
+    The i-th smallest member s jumps over s - i complement members, so the
+    permutation has sum(subset) - k(k+1)/2 inversions for |subset| = k.
+    """
+    k = len(subset)
+    return -1 if (sum(subset) - k * (k + 1) // 2) % 2 else 1
 
 
 @dataclass(frozen=True)
@@ -128,17 +137,17 @@ class WedgeMatrix:
 
 @lru_cache(maxsize=None)
 def wedge_duality_matrix(n: int, k: int) -> WedgeMatrix:
-    """Matrix of e_S (x) e_T -> coefficient of e_{1..n} in e_S ^ e_T."""
+    """Matrix of e_S (x) e_T -> coefficient of e_{1..n} in e_S ^ e_T.
+
+    Colex order of subsets is the numeric order of their bitmasks, and the
+    complement mask is (2^n - 1) - mask, so complementing reverses colex
+    order: row i pairs with column C(n,k) - 1 - i.
+    """
     rows = subsets_colex(n, k)
     cols = subsets_colex(n, n - k)
-    col_index = {t: j for j, t in enumerate(cols)}
-    row_to_col = []
-    signs = []
-    for s in rows:
-        comp = SubsetIndex(n, s).complement
-        row_to_col.append(col_index[comp])
-        signs.append(shuffle_sign(s))
-    return WedgeMatrix(n, k, rows, cols, tuple(row_to_col), tuple(signs))
+    row_to_col = tuple(range(len(rows) - 1, -1, -1))
+    signs = tuple(shuffle_sign(s) for s in rows)
+    return WedgeMatrix(n, k, rows, cols, row_to_col, signs)
 
 
 def pair_wedge(n: int, k: int, alpha, beta) -> Fraction:
@@ -172,39 +181,136 @@ def evaluation_matrix(points, model) -> list[list[Rat]]:
     return [list(evaluation_covector(p, model)) for p in points]
 
 
+def _integer_rows(rows) -> tuple[list[list[int]], int]:
+    """Scale each row by the lcm of its denominators.
+
+    Returns the integer rows and the product of the scales, so that any
+    multilinear function of the rows equals its value on the integer rows
+    divided by that product.
+    """
+    int_rows = []
+    scale = 1
+    for row in rows:
+        fracs = [Fraction(x) for x in row]
+        lcm = math.lcm(*(f.denominator for f in fracs))
+        int_rows.append([f.numerator * (lcm // f.denominator) for f in fracs])
+        scale *= lcm
+    return int_rows, scale
+
+
 def det_exact(rows) -> Fraction:
-    """Determinant over the rationals by fraction-free-pivot Gaussian elimination."""
-    m = [[Fraction(x) for x in row] for row in rows]
+    """Determinant over the rationals by fraction-free Bareiss elimination.
+
+    Each row is first scaled to integers by the lcm of its denominators.
+    Bareiss elimination (Math. Comp. 22, 1968) then keeps every entry an
+    integer: after step c each remaining entry is a (c+2)-minor of the
+    row-swapped integer matrix, so each update divides exactly by the
+    previous pivot.  The cost is O(n^3) integer operations on numbers
+    bounded by Hadamard's bound for the determinant.  A remainder in one of
+    those divisions is an ArithmeticBugError.
+    """
+    m, scale = _integer_rows(rows)
     n = len(m)
     if any(len(row) != n for row in m):
         raise DomainError("determinant requires a square matrix")
-    det = Fraction(1)
+    sign = 1
+    prev = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
         if pivot is None:
             return Fraction(0)
         if pivot != col:
             m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] * inv
-            if factor:
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-    return det
+            sign = -sign
+        top = m[col]
+        p = top[col]
+        for row in m[col + 1 :]:
+            lead = row[col]
+            for c in range(col + 1, n):
+                value, remainder = divmod(p * row[c] - lead * top[c], prev)
+                if remainder:
+                    raise ArithmeticBugError(
+                        f"Bareiss step {col}: {prev} does not divide an updated entry"
+                    )
+                row[c] = value
+        prev = p
+    return Fraction(sign * prev, scale)
+
+
+def _reduced_rows(vectors) -> tuple[list[list[Fraction]], Fraction]:
+    """Reduced row echelon form R of the rows, and f with wedge(rows) = f * wedge(R).
+
+    Swaps flip the sign of the wedge, adding a multiple of one row to
+    another keeps it, and dividing a row by its pivot divides it by the
+    pivot.  So f is the signed product of the pivots, and f = 0 (with R
+    not fully reduced) when the rows are linearly dependent.
+    """
+    rows = [[Fraction(x) for x in vec] for vec in vectors]
+    factor = Fraction(1)
+    col = 0
+    for i in range(len(rows)):
+        pivot = None
+        while pivot is None:
+            if col == len(rows[i]):
+                return rows, Fraction(0)
+            pivot = next((r for r in range(i, len(rows)) if rows[r][col]), None)
+            if pivot is None:
+                col += 1
+        if pivot != i:
+            rows[i], rows[pivot] = rows[pivot], rows[i]
+            factor = -factor
+        p = rows[i][col]
+        factor *= p
+        top = rows[i] = [x / p for x in rows[i]]
+        for r, row in enumerate(rows):
+            lead = row[col]
+            if r != i and lead:
+                rows[r] = [x - lead * t for x, t in zip(row, top)]
+        col += 1
+    return rows, factor
 
 
 def wedge_coefficients(vectors, n: int, k: int) -> tuple[Fraction, ...]:
-    """Coefficients over colex k-subsets of the wedge of k covectors in Q^n."""
+    """Coefficients over colex k-subsets of the wedge of k covectors in Q^n.
+
+    The rows are first brought to reduced row echelon form (``_reduced_rows``),
+    which changes the wedge only by a known factor.  A reduced row is e_p plus
+    entries in the n - k non-pivot columns, so after i rows every term is an
+    i-subset of i pivots and those n - k columns.  The wedge is then built
+    one row at a time in the exterior algebra, with subsets as bitmasks
+    (bit j-1 for member j): e_T ^ e_j is (-1)^#{t in T : t > j} e_{T u {j}}
+    for j not in T, over rows scaled to integers (see ``_integer_rows``).
+    Every intermediate layer has at most C(n,k) terms, so the cost is at
+    most k * (n-k+1) * C(n,k) integer products plus O(k^2 n) rational
+    operations for the reduction, in place of C(n,k) separate k x k
+    eliminations.
+    """
     if len(vectors) != k:
         raise DomainError(f"expected {k} covectors, got {len(vectors)}")
-    coeffs = []
-    for subset in subsets_colex(n, k):
-        minor = [[vec[j - 1] for j in subset] for vec in vectors]
-        coeffs.append(det_exact(minor) if k else Fraction(1))
-    return tuple(coeffs)
+    subsets = subsets_colex(n, k)
+    if any(len(vec) != n for vec in vectors):
+        raise DomainError(f"covectors must have length {n}")
+    reduced, factor = _reduced_rows(vectors)
+    if not factor:
+        return (Fraction(0),) * len(subsets)
+    int_rows, scale = _integer_rows(reduced)
+    factor /= scale
+    wedge = {0: 1}
+    for row in int_rows:
+        entries = [(j, 1 << j, v) for j, v in enumerate(row) if v]
+        step: dict[int, int] = {}
+        for mask, coeff in wedge.items():
+            for j, bit, v in entries:
+                if mask & bit:
+                    continue
+                term = coeff * v
+                if (mask >> (j + 1)).bit_count() & 1:
+                    term = -term
+                key = mask | bit
+                step[key] = step.get(key, 0) + term
+        wedge = step
+    masks = (sum(1 << (j - 1) for j in s) for s in subsets)
+    return tuple(wedge.get(mask, 0) * factor for mask in masks)
 
 
 @dataclass(frozen=True)
@@ -224,19 +330,30 @@ class PointConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PointConfig":
-        model = tuple((int(ex), int(ey)) for ex, ey in data["model"])
-        points = tuple(
-            (Fraction(str(x)), Fraction(str(y))) for x, y in data.get("points", ())
-        )
-        return cls(points, model)
+        points = tuple(parse_point(p) for p in data.get("points", ()))
+        return cls(points, parse_model(data["model"]))
 
 
-def theta_vanishes(z_points, w_points, model) -> bool:
-    """Whether some model section vanishes on all points of Z union W.
+def parse_model(data) -> tuple[tuple[int, int], ...]:
+    """Exponent pairs (ex, ey) of the monomials x^ex * y^ey from JSON."""
+    return tuple((int(ex), int(ey)) for ex, ey in data)
 
-    True exactly when the n x n evaluation determinant at the combined
-    configuration is zero; by construction this agrees with the vanishing
-    of the wedge pairing of the wedged evaluation covectors.
+
+def parse_point(pair) -> tuple[Fraction, Fraction]:
+    """A point from JSON, each coordinate an integer or a rational string "p/q"."""
+    x, y = pair
+    try:
+        return Fraction(str(x)), Fraction(str(y))
+    except ZeroDivisionError:
+        raise DomainError(f"zero denominator in point {pair!r}") from None
+
+
+def theta_rows(z_points, w_points, model) -> list[list[Rat]]:
+    """Evaluation matrix of Z followed by W, after checking the configuration.
+
+    Raises DomainError unless |Z| + |W| equals the model size or when a
+    point has a zero coordinate that a model monomial raises to a negative
+    power, and DegenerateConfigError when two points coincide.
     """
     n = len(model)
     points = list(z_points) + list(w_points)
@@ -247,7 +364,21 @@ def theta_vanishes(z_points, w_points, model) -> bool:
     normalized = [(Fraction(x), Fraction(y)) for x, y in points]
     if len(set(normalized)) != len(normalized):
         raise DegenerateConfigError("coincident points in the configuration")
-    return det_exact(evaluation_matrix(normalized, model)) == 0
+    for x, y in normalized:
+        for ex, ey in model:
+            if (ex < 0 and x == 0) or (ey < 0 and y == 0):
+                raise DomainError(f"point ({x}, {y}) is a pole of the model monomial x^{ex} y^{ey}")
+    return evaluation_matrix(normalized, model)
+
+
+def theta_vanishes(z_points, w_points, model) -> bool:
+    """Whether some model section vanishes on all points of Z union W.
+
+    True exactly when the n x n evaluation determinant at the combined
+    configuration is zero; by Laplace expansion this agrees with the
+    vanishing of the wedge pairing of the wedged evaluation covectors.
+    """
+    return det_exact(theta_rows(z_points, w_points, model)) == 0
 
 
 def monomial_exponents(w_dim: int, degree: int) -> tuple[tuple[int, ...], ...]:

@@ -178,6 +178,78 @@ def test_duality_theta_vanishes(capsys, tmp_path):
     _check_golden("duality_theta_vanishes_false.json", out)
 
 
+def test_duality_theta_vanishes_bad_points(capsys, tmp_path):
+    points = tmp_path / "points.json"
+    config = {"model": [[0, 0], [1, 0], [0, 1]], "Z": [["1/0", 1]], "W": [[1, 2], [3, 4]]}
+    points.write_text(json.dumps(config))
+    code, out, err = _run(capsys, "duality", "theta-vanishes", "--points", str(points))
+    assert code == 2 and out == ""
+    assert "zero denominator" in err and "Traceback" not in err
+    # coincident points (also written differently) and a size mismatch are domain errors
+    config["Z"] = [["1", "2"]]
+    config["W"] = [["2/2", 2], [3, 4]]
+    points.write_text(json.dumps(config))
+    code, _, err = _run(capsys, "duality", "theta-vanishes", "--points", str(points))
+    assert code == 2 and "coincident" in err
+    config["W"] = [[3, 4]]
+    points.write_text(json.dumps(config))
+    code, _, err = _run(capsys, "duality", "theta-vanishes", "--points", str(points))
+    assert code == 2 and "model size" in err
+
+
+def test_duality_theta_vanishes_laurent_model(capsys, tmp_path):
+    points = tmp_path / "points.json"
+    config = {"model": [[0, 0], [-1, 0], [0, 1]], "Z": [["1/2", 1]], "W": [[1, 2], [3, -4]]}
+    points.write_text(json.dumps(config))
+    code, out, _ = _run(capsys, "duality", "theta-vanishes", "--points", str(points))
+    assert code == 0
+    assert json.loads(out)["determinant"] == json.loads(out)["pairing"] != "0"
+    # x^-1 has a pole at x = 0
+    config["W"] = [[0, 2], [3, -4]]
+    points.write_text(json.dumps(config))
+    code, out, err = _run(capsys, "duality", "theta-vanishes", "--points", str(points))
+    assert code == 2 and out == ""
+    assert "pole" in err and "Traceback" not in err
+
+
+def test_duality_theta_vanishes_unbalanced(capsys, tmp_path):
+    # C(20,1) = 20 is within the budget, and so is the work for W (19 rows)
+    n = 20
+    model = [[i, d - i] for d in range(6) for i in range(d, -1, -1)][:n]
+    xs = [f"{i - n // 2}/2" for i in (7, 2, 15, 11, 0, 19, 4, 13, 9, 17, 1, 6, 14, 3, 18, 10, 5, 12, 16, 8)]
+    ys = [f"{j - n // 2}/3" for j in range(n)]
+    points = tmp_path / "points.json"
+    points.write_text(json.dumps({"model": model, "Z": [[xs[0], ys[0]]], "W": list(map(list, zip(xs[1:], ys[1:])))}))
+    code, out, _ = _run(capsys, "duality", "theta-vanishes", "--points", str(points))
+    assert code == 0
+    result = json.loads(out)
+    assert result["vanishes"] is False
+    assert result["determinant"] == result["pairing"] != "0"
+
+
+def test_duality_term_budget_refusals(capsys, tmp_path):
+    code, out, err = _run(capsys, "--term-budget", "19", "duality", "wedge", "6", "3")
+    assert code == 3 and out == ""
+    assert "term budget exceeded: C(6,3) = 20 > 19" in err
+    code, _, _ = _run(capsys, "--term-budget", "20", "duality", "wedge", "6", "3")
+    assert code == 0
+    code, out, err = _run(capsys, "duality", "sym", "6", "30")
+    assert code == 3 and out == ""
+    assert "term budget exceeded: C(35,30) = 324632 > 200000" in err
+    code, _, err = _run(capsys, "--term-budget", "5", "duality", "sym", "2", "5")
+    assert code == 3 and "C(6,5) = 6 > 5" in err
+    points = tmp_path / "points.json"
+    points.write_text(
+        json.dumps({"model": [[0, 0], [1, 0], [0, 1], [1, 1]], "Z": [[0, 0], [1, 2]], "W": [[3, 1], [2, 5]]})
+    )
+    code, out, err = _run(capsys, "--term-budget", "5", "duality", "theta-vanishes", "--points", str(points))
+    assert code == 3 and out == ""
+    assert "term budget exceeded: C(4,2) = 6 > 5" in err
+    # out-of-range sizes are domain errors, not refusals
+    code, _, _ = _run(capsys, "--term-budget", "5", "duality", "wedge", "3", "-1")
+    assert code == 2
+
+
 def test_elliptic_normalize(capsys):
     code, out, _ = _run(capsys, "elliptic", "normalize", "2", "3", "-1")
     assert code == 0

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
@@ -20,6 +21,8 @@ from thetacalc.power_duality import (
     monomial_exponents,
     multinomial,
     pair_wedge,
+    parse_model,
+    parse_point,
     subsets_colex,
     sym_duality_matrix,
     theta_vanishes,
@@ -279,3 +282,193 @@ def test_point_config_parsing():
     )
     assert config.section_model == ((0, 0), (1, 0))
     assert config.points == ((Fraction(1, 2), Fraction(3)), (Fraction(-1), Fraction(2, 7)))
+
+
+def test_point_parsing_errors():
+    with pytest.raises(DomainError, match="zero denominator"):
+        parse_point(["1/0", 2])
+    with pytest.raises(DomainError, match="zero denominator"):
+        PointConfig.from_json_dict({"model": [[0, 0]], "points": [[1, "3/0"]]})
+    assert parse_model([[0, 0], [-1, 2]]) == ((0, 0), (-1, 2))
+
+
+def test_theta_laurent_model_poles():
+    model = ((0, 0), (-1, 0), (0, -2))
+    points = [(Fraction(1), Fraction(2)), (Fraction(-1, 2), Fraction(3)), (Fraction(2), Fraction(-1))]
+    # Laurent monomials evaluate at points off the coordinate axes
+    det, pairing = _pairing_data(points[:1], points[1:], model)
+    assert det == pairing != 0
+    assert not theta_vanishes(points[:1], points[1:], model)
+    with pytest.raises(DomainError, match="pole"):
+        theta_vanishes([(Fraction(0), Fraction(1))], points[1:], model)
+    with pytest.raises(DomainError, match="pole"):
+        theta_vanishes(points[:2], [(Fraction(5), Fraction(0))], model)
+
+
+# Reference implementations: one Fraction Gaussian elimination per minor.
+
+
+def _reference_det(rows) -> Fraction:
+    m = [[Fraction(x) for x in row] for row in rows]
+    n = len(m)
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, n):
+            factor = m[r][col] / m[col][col]
+            for c in range(col, n):
+                m[r][c] -= factor * m[col][c]
+    return det
+
+
+def _reference_wedge(vectors, n, k):
+    return tuple(
+        _reference_det([[vec[j - 1] for j in subset] for vec in vectors])
+        for subset in subsets_colex(n, k)
+    )
+
+
+def _random_rational(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-7, 7), rng.randint(1, 6))
+
+
+def _random_rows(rng: random.Random, k: int, n: int) -> list[list[Fraction]]:
+    """Random rational k x n rows, some with zero columns or dependent rows."""
+    rows = [[_random_rational(rng) for _ in range(n)] for _ in range(k)]
+    shape = rng.randrange(4)
+    if shape == 1 and n:  # zero columns
+        for j in rng.sample(range(n), rng.randint(1, n)):
+            for row in rows:
+                row[j] = Fraction(0)
+    elif shape == 2 and k >= 2:  # one row a combination of two others
+        a, b = _random_rational(rng), _random_rational(rng)
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    elif shape == 3 and k >= 1:  # a zero row
+        rows[rng.randrange(k)] = [Fraction(0)] * n
+    return rows
+
+
+def test_wedge_coefficients_match_reference_minors():
+    rng = random.Random(4242)
+    for n in range(0, 11):
+        for k in range(0, n + 1):
+            for _ in range(3 if n <= 8 else 1):
+                rows = _random_rows(rng, k, n)
+                got = wedge_coefficients(rows, n, k)
+                assert got == _reference_wedge(rows, n, k)
+                assert all(type(c) is Fraction for c in got)
+
+
+@pytest.mark.parametrize("n,k", [(18, 17), (16, 14), (16, 2)])
+def test_wedge_coefficients_unbalanced_match_reference(n, k):
+    # few subsets but far from n/2 rows: the reduction keeps every
+    # intermediate layer within the C(n,k) output terms
+    rng = random.Random(n * 100 + k)
+    rows = [[_random_rational(rng) for _ in range(n)] for _ in range(k)]
+    got = wedge_coefficients(rows, n, k)
+    assert any(got)
+    assert got == _reference_wedge(rows, n, k)
+
+
+def test_wedge_coefficients_unbalanced_memory_bounded():
+    # 15 covectors in Q^16 have 16 coefficients; building the wedge without
+    # the reduction passes through C(16,8) = 12870 terms (about 3 MB here)
+    rng = random.Random(16)
+    rows = [[_random_rational(rng) for _ in range(16)] for _ in range(15)]
+    tracemalloc.start()
+    try:
+        wedge_coefficients(rows, 16, 15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_wedge_coefficients_rank_deficient_vanish():
+    rng = random.Random(9)
+    for n in range(2, 9):
+        for k in range(2, n + 1):
+            rows = [[_random_rational(rng) for _ in range(n)] for _ in range(k - 1)]
+            rows.append([3 * x - y for x, y in zip(rows[0], rows[-1])])
+            assert set(wedge_coefficients(rows, n, k)) == {0}
+
+
+def test_wedge_coefficients_shape_errors():
+    with pytest.raises(DomainError):
+        wedge_coefficients([[1, 2]], 2, 2)
+    with pytest.raises(DomainError):
+        wedge_coefficients([[1, 2, 3]], 2, 1)
+    with pytest.raises(DomainError):
+        wedge_coefficients([[1, 2]], 2, 3)
+
+
+def test_det_exact_matches_reference():
+    rng = random.Random(31337)
+    for n in range(0, 9):
+        for _ in range(25):
+            rows = _random_rows(rng, n, n)
+            assert det_exact(rows) == _reference_det(rows)
+
+
+def test_det_exact_edge_cases():
+    assert det_exact([]) == 1 and type(det_exact([])) is Fraction
+    assert det_exact([[Fraction(-3, 4)]]) == Fraction(-3, 4)
+    # zero leading entries force row swaps; each swap flips the sign
+    assert det_exact([[0, 1], [1, 0]]) == -1
+    assert det_exact([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    assert det_exact([[0, 2, 0], [0, 0, 3], [5, 0, 0]]) == 30
+    swapped = [[0, Fraction(1, 2), 3], [Fraction(2, 3), 1, 1], [1, 1, Fraction(1, 5)]]
+    assert det_exact(swapped) == _reference_det(swapped)
+    # singular: a zero column, a zero row, and dependent rows
+    assert det_exact([[1, 0], [2, 0]]) == 0
+    assert det_exact([[1, 2], [0, 0]]) == 0
+    assert det_exact([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 0
+    with pytest.raises(DomainError):
+        det_exact([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(DomainError):
+        det_exact([[1, 2], [3]])
+
+
+@pytest.mark.parametrize("n", range(0, 11))
+def test_wedge_matrix_matches_complement_lookup(n):
+    for k in range(n + 1):
+        matrix = wedge_duality_matrix(n, k)
+        cols = {t: j for j, t in enumerate(subsets_colex(n, n - k))}
+        assert matrix.rows == subsets_colex(n, k)
+        assert matrix.cols == subsets_colex(n, n - k)
+        assert matrix.row_to_col == tuple(
+            cols[SubsetIndex(n, s).complement] for s in matrix.rows
+        )
+        assert matrix.signs == tuple(_merge_sign(n, s) for s in matrix.rows)
+
+
+def _merge_sign(n, subset):
+    """Sign of (subset ascending, complement ascending) by counting inversions."""
+    order = list(subset) + list(SubsetIndex(n, subset).complement)
+    inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1 :])
+    return -1 if inversions % 2 else 1
+
+
+# Monomials x^i y^j by total degree; a model of size n is the first n.
+_MONOMIALS = tuple((i, d - i) for d in range(5) for i in range(d, -1, -1))
+
+
+def test_size_thirteen_theta_configuration():
+    model = _MONOMIALS[:13]
+    xs = [Fraction(i - 6, 2) for i in (3, 11, 0, 7, 12, 5, 1, 9, 2, 8, 4, 10, 6)]
+    ys = [Fraction(j - 6, 3) for j in (8, 2, 12, 5, 0, 10, 7, 3, 11, 1, 6, 9, 4)]
+    points = list(zip(xs, ys))
+    det, pairing = _pairing_data(points[:6], points[6:], model)
+    assert det == pairing != 0
+    assert not theta_vanishes(points[:6], points[6:], model)
+    # on the line y = 1/2 - x the section y + x - 1/2 vanishes at every point
+    line = [(x, Fraction(1, 2) - x) for x in xs]
+    det, pairing = _pairing_data(line[:7], line[7:], model)
+    assert det == pairing == 0
+    assert theta_vanishes(line[:7], line[7:], model)
