@@ -19,8 +19,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-import mpmath
-
 from . import elliptic_k3 as ek
 from . import mukai as mk
 from . import power_duality as pdl
@@ -66,16 +64,26 @@ def _frac(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+_CONFIG_TYPES = {"output_format": str, "term_budget": int, "lattice_preset": str, "precision": int}
+
+
 def _resolve_config(args) -> CliConfig:
     cfg = CliConfig()
     if getattr(args, "config", None):
         try:
             data = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise DomainError(f"cannot read config file: {exc}")
-        for key in ("output_format", "term_budget", "lattice_preset", "precision"):
+        if not isinstance(data, dict):
+            raise DomainError("config file must hold a JSON object")
+        for key, kind in _CONFIG_TYPES.items():
             if key in data:
-                setattr(cfg, key, data[key])
+                value = data[key]
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise DomainError(
+                        f"config value {key!r} must be of type {kind.__name__}, got {value!r}"
+                    )
+                setattr(cfg, key, value)
         for name, gram in data.get("lattice_presets", {}).items():
             cfg.extra_presets[name] = mk.NSLattice(
                 tuple(tuple(row) for row in gram), name=name
@@ -126,15 +134,17 @@ def _vector_dict(v: mk.MukaiVector) -> dict:
 
 def _cmd_verlinde(args, cfg: CliConfig) -> dict:
     query = vl.VerlindeQuery(args.r, args.k, args.g)
+    report = vl.check_rank_level_symmetry(query, term_budget=cfg.term_budget)
     out = {"r": args.r, "k": args.k, "g": args.g}
-    out["value"] = _s(vl.verlinde_number(query, term_budget=cfg.term_budget))
+    out["value"] = _s(report.value)
     if args.modified:
-        out["modified_value"] = _s(vl.modified_verlinde(query, term_budget=cfg.term_budget))
+        out["modified_value"] = _s(report.modified_value)
     if args.check_symmetry:
-        report = vl.check_rank_level_symmetry(query, term_budget=cfg.term_budget)
         out["partner_value"] = _s(report.partner_value)
         out["symmetry_holds"] = report.symmetry_holds
     if args.float_oracle:
+        import mpmath
+
         out["float_value"] = mpmath.nstr(vl.float_oracle(query, cfg.precision), 15)
     out["formula"] = "verlinde_number"
     return out
@@ -238,7 +248,7 @@ def _cmd_duality(args, cfg: CliConfig) -> dict:
     # theta-vanishes
     try:
         data = json.loads(Path(args.points).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise DomainError(f"cannot read points file: {exc}")
     try:
         model = pdl.parse_model(data["model"])

@@ -21,6 +21,7 @@ byte-for-byte.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -339,11 +340,23 @@ def parse_model(data) -> tuple[tuple[int, int], ...]:
     return tuple((int(ex), int(ey)) for ex, ey in data)
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def parse_point(pair) -> tuple[Fraction, Fraction]:
-    """A point from JSON, each coordinate an integer or a rational string "p/q"."""
+    """A point from JSON, each coordinate an integer or a rational string "p/q".
+
+    Nothing else is accepted: exponent and decimal notation would let a
+    few characters stand for a number of millions of digits.
+    """
     x, y = pair
+    for c in (x, y):
+        if isinstance(c, bool) or not (
+            isinstance(c, int) or (isinstance(c, str) and _RATIONAL.fullmatch(c))
+        ):
+            raise DomainError(f"coordinate {c!r} is not an integer or a string 'p/q'")
     try:
-        return Fraction(str(x)), Fraction(str(y))
+        return Fraction(x), Fraction(y)
     except ZeroDivisionError:
         raise DomainError(f"zero denominator in point {pair!r}") from None
 

@@ -4,18 +4,32 @@ The dimension v_{r,k} of the space of level-k generalized theta functions
 on the moduli space of rank-r bundles with trivial determinant over a
 genus-g curve is computed from the trigonometric sum
 
-    v_{r,k} = r^g / (r+k)^g * sum over S |_| T = {1..r+k}, |S| = k of
-              prod_{s in S, t in T} (2*sin(pi*|s-t|/(r+k)))^(g-1),
+    v_{r,k} = r^g / n^g * Sigma,   n = r+k,
+    Sigma   = sum over S |_| T = {1..n}, |S| = k of
+              prod_{s in S, t in T} (2*sin(pi*|s-t|/n))^(g-1),
 
 evaluated entirely in exact cyclotomic arithmetic: the partial sums live
-in Q(zeta_{4(r+k)}), the completed sum is asserted rational, and the
+in Q(zeta_{4n}), the completed sum is asserted rational, and the
 prefactored result is asserted to be a non-negative integer.  Both
 assertions are theorems, so a failure signals a bug rather than bad input.
 
-The modified number vt_{r,k} = ((k+r)^g / r^g) * v_{r,k} counts sections
-of a determinant-twisted theta bundle and is an integer as well; the
-rank-level symmetry takes the form vt_{r,k} = vt_{k,r}, equivalently
-v_{r,k} * k^g = v_{k,r} * r^g.
+Three identities of the sum cut the work without changing its value:
+
+* Fold.  2*sin(pi*d/n) = 2*sin(pi*(n-d)/n), so a subset's term depends
+  only on how often each cyclic distance min(d, n-d), 1 <= d <= n//2,
+  occurs between S and T.
+* Complement.  Swapping S and T permutes the pairs, so Sigma over the
+  k-subsets equals Sigma over the (n-k)-subsets; only the smaller side
+  k' = min(k, n-k) is enumerated.
+* Rotation.  Cyclic distances, and hence terms, do not change when
+  {0..n-1} is rotated mod n.  Each subset meets 0 in k' of its n
+  rotations, so Sigma = (n/k') * (sum over the k'-subsets containing 0).
+
+The modified number vt_{r,k} = (n^g / r^g) * v_{r,k} = Sigma counts
+sections of a determinant-twisted theta bundle and is an integer as well.
+By the complement identity v_{k,r} = (k^g / r^g) * v_{r,k}, which is the
+rank-level symmetry vt_{r,k} = vt_{k,r}; one evaluation of Sigma gives
+all three numbers.
 """
 
 from __future__ import annotations
@@ -24,10 +38,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
-
-import mpmath
 
 from .cyclotomic import CycloElement, to_rational, two_sin
 from .errors import DomainError, NotIntegralError, TermBudgetError
@@ -49,13 +60,16 @@ class VerlindeQuery:
         if self.genus < 2:
             raise DomainError("genus must be >= 2")
 
-    def swapped(self) -> "VerlindeQuery":
-        return VerlindeQuery(self.level, self.rank, self.genus)
-
 
 @dataclass(frozen=True)
 class VerlindeReport:
-    """Both sides of the rank-level symmetry for one query."""
+    """Both sides of the rank-level symmetry for one query.
+
+    `symmetry_holds` compares v_{r,k} * k^g with v_{k,r} * r^g.  Both
+    values come from the same sum, so this is an identity of the formula
+    and cannot fail; the independent check of the sum is the fusion-ring
+    count in the tests.
+    """
 
     query: VerlindeQuery
     value: int
@@ -64,39 +78,46 @@ class VerlindeReport:
     symmetry_holds: bool
 
 
-@lru_cache(maxsize=None)
 def _distance_exponent_groups(n: int, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Group the k-subsets of {1..n} by their multiset of cross distances.
+    """Group the k'-subsets of Z/n that contain 0 by their folded distance vector.
 
-    For a subset S with complement T the per-pair factor depends only on
-    d = |s-t|, so each subset is summarized by the vector counting how
-    often each d in 1..n-1 occurs.  Many subsets share a vector; the sum
-    then needs one product per distinct vector, weighted by multiplicity.
-    Subsets are enumerated in lexicographic order and groups are returned
-    sorted, so results are reproducible.
+    k' = min(k, n-k).  A subset S is summarized by the vector counting, for
+    each cyclic distance d in 1..n//2, the pairs (s, t) with s in S, t not
+    in S at that distance.  Every element has the same full row of
+    distances to the other n-1 elements (two at each d < n/2, one at
+    d = n/2), so the vector is k' times that row minus two per pair inside
+    S.  Many subsets share a vector; the sum then needs one product per
+    distinct vector, weighted by multiplicity.  The multiplicities add up
+    to C(n-1, k'-1), the subsets containing 0; groups are returned sorted,
+    so results are reproducible.
     """
+    kp = min(k, n - k)
+    half = n // 2
+    cyclic = [min(d, n - d) for d in range(n)]
+    full_row = [0] + [2 * kp] * half
+    if n % 2 == 0:
+        full_row[half] = kp
     groups: Counter[tuple[int, ...]] = Counter()
-    universe = range(1, n + 1)
-    for subset in combinations(universe, k):
-        inside = set(subset)
-        counts = [0] * n
-        for s in subset:
-            for t in universe:
-                if t not in inside:
-                    counts[abs(s - t)] += 1
+    for rest in combinations(range(1, n), kp - 1):
+        subset = (0, *rest)
+        counts = full_row.copy()
+        for i, s in enumerate(subset):
+            for t in subset[i + 1 :]:
+                counts[cyclic[t - s]] -= 2
         groups[tuple(counts[1:])] += 1
     return tuple(sorted(groups.items()))
-
-
-@lru_cache(maxsize=None)
-def _sin_power(n: int, d: int, e: int) -> CycloElement:
-    return two_sin(n, d) ** e
 
 
 def _check_budget(n: int, k: int, term_budget: int) -> None:
     terms = math.comb(n, k)
     if terms > term_budget:
         raise TermBudgetError(n, k, terms, term_budget)
+
+
+def _integral(value: Fraction) -> int:
+    if value.denominator != 1 or value < 0:
+        raise NotIntegralError(value)
+    return int(value)
 
 
 def verlinde_number(query: VerlindeQuery, *, term_budget: int = DEFAULT_TERM_BUDGET) -> int:
@@ -110,18 +131,19 @@ def verlinde_number(query: VerlindeQuery, *, term_budget: int = DEFAULT_TERM_BUD
     n = r + k
     _check_budget(n, k, term_budget)
     power = g - 1
+    sin_powers: dict[tuple[int, int], CycloElement] = {}
     total = CycloElement.zero(4 * n)
     for exponents, multiplicity in _distance_exponent_groups(n, k):
-        term = CycloElement.one(4 * n)
+        term = None
         for d, e in enumerate(exponents, start=1):
             if e:
-                term = term * _sin_power(n, d, e * power)
+                factor = sin_powers.get((d, e))
+                if factor is None:
+                    factor = sin_powers[(d, e)] = two_sin(n, d) ** (e * power)
+                term = factor if term is None else term * factor
         total = total + term * multiplicity
-    subset_sum = to_rational(total)
-    value = subset_sum * Fraction(r**g, n**g)
-    if value.denominator != 1 or value < 0:
-        raise NotIntegralError(value)
-    return int(value)
+    subset_sum = to_rational(total) * Fraction(n, min(k, r))
+    return _integral(subset_sum * Fraction(r**g, n**g))
 
 
 def level_one_oracle(rank: int, genus: int) -> int:
@@ -135,50 +157,55 @@ def level_one_oracle(rank: int, genus: int) -> int:
 
 def modified_verlinde(query: VerlindeQuery, *, term_budget: int = DEFAULT_TERM_BUDGET) -> int:
     """vt_{r,k} = ((k+r)^g / r^g) * v_{r,k}, asserted integral."""
-    r, k, g = query.rank, query.level, query.genus
-    value = Fraction((r + k) ** g * verlinde_number(query, term_budget=term_budget), r**g)
-    if value.denominator != 1:
-        raise NotIntegralError(value)
-    return int(value)
+    return check_rank_level_symmetry(query, term_budget=term_budget).modified_value
 
 
 def check_rank_level_symmetry(
     query: VerlindeQuery, *, term_budget: int = DEFAULT_TERM_BUDGET
 ) -> VerlindeReport:
-    """Evaluate both v_{r,k} and v_{k,r} and compare v_{r,k}*k^g with v_{k,r}*r^g."""
+    """v_{r,k}, vt_{r,k} and v_{k,r} from one evaluation of the sum.
+
+    The partner v_{k,r} = v_{r,k} * k^g / r^g and the modified value
+    vt_{r,k} = v_{r,k} * (r+k)^g / r^g are each asserted integral, so a
+    wrong sum can still fail here with NotIntegralError.
+    """
     r, k, g = query.rank, query.level, query.genus
     value = verlinde_number(query, term_budget=term_budget)
-    partner = verlinde_number(query.swapped(), term_budget=term_budget)
-    modified = modified_verlinde(query, term_budget=term_budget)
+    partner = _integral(Fraction(value * k**g, r**g))
     return VerlindeReport(
         query=query,
         value=value,
-        modified_value=modified,
+        modified_value=_integral(Fraction(value * (r + k) ** g, r**g)),
         partner_value=partner,
         symmetry_holds=value * k**g == partner * r**g,
     )
 
 
 def float_oracle(query: VerlindeQuery, precision: int = 30):
-    """Same sum with high-precision floating sines; test support only.
+    """The unreduced sum with high-precision floating sines; test support only.
 
+    Enumerates all C(r+k, k) subsets with the plain distances |s-t| and
+    shares none of the exact path's reductions, so it checks them.
     Returns an mpmath float.  All subset terms are positive, so no
     cancellation occurs and `precision` decimal digits are retained up to
     a small constant loss.
     """
     if precision < 15:
         raise DomainError("float oracle precision must be >= 15 digits")
+    import mpmath
+
     r, k, g = query.rank, query.level, query.genus
     n = r + k
+    universe = range(1, n + 1)
     with mpmath.workdps(precision):
-        sines = {
-            d: 2 * mpmath.sinpi(mpmath.mpf(d) / n) for d in range(1, n)
-        }
+        sines = {d: 2 * mpmath.sinpi(mpmath.mpf(d) / n) for d in range(1, n)}
         total = mpmath.mpf(0)
-        for exponents, multiplicity in _distance_exponent_groups(n, k):
+        for subset in combinations(universe, k):
+            inside = set(subset)
             term = mpmath.mpf(1)
-            for d, e in enumerate(exponents, start=1):
-                if e:
-                    term *= sines[d] ** (e * (g - 1))
-            total += term * multiplicity
+            for s in subset:
+                for t in universe:
+                    if t not in inside:
+                        term *= sines[abs(s - t)]
+            total += term ** (g - 1)
         return total * mpmath.mpf(r) ** g / mpmath.mpf(n) ** g

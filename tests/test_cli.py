@@ -197,6 +197,18 @@ def test_duality_theta_vanishes_bad_points(capsys, tmp_path):
     assert code == 2 and "model size" in err
 
 
+@pytest.mark.parametrize(
+    "coordinate", ["1e10000000", "1E5", "0.5", "1.", " 1", "+1", "1/-2", 1.5, True, None, [1]]
+)
+def test_duality_theta_vanishes_rejects_coordinate_notation(capsys, tmp_path, coordinate):
+    points = tmp_path / "points.json"
+    config = {"model": [[0, 0], [1, 0], [0, 1]], "Z": [[coordinate, 1]], "W": [[1, 2], [3, 4]]}
+    points.write_text(json.dumps(config))
+    code, out, err = _run(capsys, "duality", "theta-vanishes", "--points", str(points))
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+
+
 def test_duality_theta_vanishes_laurent_model(capsys, tmp_path):
     points = tmp_path / "points.json"
     config = {"model": [[0, 0], [-1, 0], [0, 1]], "Z": [["1/2", 1]], "W": [[1, 2], [3, -4]]}
@@ -345,6 +357,37 @@ def test_config_file(capsys, tmp_path):
     assert "| value | 4 |" in out
     code, _, err = _run(capsys, "--config", str(config), "--format", "json", "verlinde", "3", "3", "2")
     assert code == 3  # term budget from the config file still applies
+
+
+@pytest.mark.parametrize(
+    "config, argv",
+    [
+        ({"term_budget": "abc"}, ["duality", "wedge", "3", "1"]),
+        ({"term_budget": True}, ["verlinde", "2", "1", "2"]),
+        ({"term_budget": 1.5}, ["verlinde", "2", "1", "2"]),
+        ({"precision": "x"}, ["verlinde", "2", "1", "2", "--float-oracle"]),
+        ({"precision": False}, ["verlinde", "2", "1", "2", "--float-oracle"]),
+        ({"output_format": 3}, ["verlinde", "2", "1", "2"]),
+        ({"lattice_preset": ["k3_elliptic"]}, ["mukai", "fm", "--v", "1:0,0:1"]),
+        ([1, 2], ["verlinde", "2", "1", "2"]),
+    ],
+)
+def test_config_value_types(capsys, tmp_path, config, argv):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = _run(capsys, "--config", str(path), *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_json_integer_beyond_conversion_limit(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text('{"term_budget": ' + "1" * 5000 + "}")
+    code, _, err = _run(capsys, "--config", str(path), "verlinde", "2", "1", "2")
+    assert code == 2 and "cannot read config file" in err
+    path.write_text('{"model": [[0, 0]], "Z": [], "W": [[' + "1" * 5000 + ", 1]]}")
+    code, _, err = _run(capsys, "duality", "theta-vanishes", "--points", str(path))
+    assert code == 2 and "cannot read points file" in err
 
 
 def test_config_lattice_presets(capsys, tmp_path):

@@ -290,6 +290,10 @@ def test_point_parsing_errors():
     with pytest.raises(DomainError, match="zero denominator"):
         PointConfig.from_json_dict({"model": [[0, 0]], "points": [[1, "3/0"]]})
     assert parse_model([[0, 0], [-1, 2]]) == ((0, 0), (-1, 2))
+    assert parse_point(["-3/4", -5]) == (Fraction(-3, 4), Fraction(-5))
+    for coordinate in ("1e10000000", "2E3", "0.5", ".5", "1_000", "-1/-2", 1.5, False):
+        with pytest.raises(DomainError, match="not an integer or a string 'p/q'"):
+            parse_point([1, coordinate])
 
 
 def test_theta_laurent_model_poles():

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 import mpmath
 import pytest
 
+from thetacalc.cyclotomic import CycloElement, to_rational, two_sin
 from thetacalc.errors import DomainError, TermBudgetError
 from thetacalc.verlinde import (
     VerlindeQuery,
@@ -30,6 +33,88 @@ def _naive_float(r: int, k: int, g: int) -> float:
                     term *= abs(2 * math.sin(math.pi * (s - t) / n)) ** (g - 1)
         total += term
     return total * r**g / n**g
+
+
+def _unfolded_groups(n: int, k: int) -> Counter[tuple[int, ...]]:
+    """All C(n, k) subsets of {1..n}, grouped by their unfolded |s-t| vector."""
+    universe = range(1, n + 1)
+    groups: Counter[tuple[int, ...]] = Counter()
+    for subset in combinations(universe, k):
+        inside = set(subset)
+        counts = [0] * n
+        for s in subset:
+            for t in universe:
+                if t not in inside:
+                    counts[abs(s - t)] += 1
+        groups[tuple(counts[1:])] += 1
+    return groups
+
+
+def _unfolded_exact(r: int, k: int, g: int, groups: Counter[tuple[int, ...]]) -> int:
+    """Reference for the exact path: no fold, no rotation, no complement."""
+    n = r + k
+    powers: dict[tuple[int, int], CycloElement] = {}
+    total = CycloElement.zero(4 * n)
+    for exponents, multiplicity in groups.items():
+        term = CycloElement.one(4 * n)
+        for d, e in enumerate(exponents, start=1):
+            if e:
+                if (d, e) not in powers:
+                    powers[(d, e)] = two_sin(n, d) ** (e * (g - 1))
+                term = term * powers[(d, e)]
+        total = total + term * multiplicity
+    value = to_rational(total) * Fraction(r**g, n**g)
+    assert value.denominator == 1
+    return int(value)
+
+
+def _su2_fusion_count(k: int, g: int) -> int:
+    """V_g = Tr(Omega^(g-1)) in the SU(2) level-k fusion ring, integers only.
+
+    Omega = sum_a N_a N_a^T, with N_a the truncated Clebsch-Gordan rule
+    N_ab^c = 1 iff |a-b| <= c <= min(a+b, 2k-a-b) and a+b+c is even.
+    Shares nothing with the trigonometric sum.
+    """
+    weights = range(k + 1)
+
+    def fusion(a, b, c):
+        return int(abs(a - b) <= c <= min(a + b, 2 * k - a - b) and (a + b + c) % 2 == 0)
+
+    omega = [
+        [sum(fusion(a, b, c) * fusion(a, d, c) for a in weights for c in weights) for d in weights]
+        for b in weights
+    ]
+    power = [[int(i == j) for j in weights] for i in weights]
+    for _ in range(g - 1):
+        power = [
+            [sum(power[i][m] * omega[m][j] for m in weights) for j in weights] for i in weights
+        ]
+    return sum(power[i][i] for i in weights)
+
+
+def test_matches_unfolded_exact_sum_small():
+    for n in range(2, 13):
+        for r in range(1, n):
+            groups = _unfolded_groups(n, n - r)
+            for g in range(2, 5):
+                expected = _unfolded_exact(r, n - r, g, groups)
+                assert verlinde_number(VerlindeQuery(r, n - r, g)) == expected
+
+
+@pytest.mark.parametrize("r,k,g", [(8, 8, 3), (9, 9, 2), (6, 6, 10), (7, 7, 20), (6, 6, 40)])
+def test_matches_unfolded_exact_sum_large(r, k, g):
+    expected = _unfolded_exact(r, k, g, _unfolded_groups(r + k, k))
+    assert verlinde_number(VerlindeQuery(r, k, g)) == expected
+
+
+def test_su2_fusion_ring_oracle():
+    assert _su2_fusion_count(1, 2) == 4 and _su2_fusion_count(2, 2) == 10
+    for k in range(1, 9):
+        for g in range(2, 7):
+            expected = _su2_fusion_count(k, g)
+            assert verlinde_number(VerlindeQuery(2, k, g)) == expected
+            # v_{2,k} again, now as the partner derived from v_{k,2}
+            assert check_rank_level_symmetry(VerlindeQuery(k, 2, g)).partner_value == expected
 
 
 def test_frozen_values():
