@@ -10,18 +10,15 @@ stay plain numbers.  Exit codes: 0 success, 1 internal exactness failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from . import elliptic_k3 as ek
-from . import mukai as mk
-from . import power_duality as pdl
+# The other modules of the package are imported by the handlers that run
+# them, so that a query loads only what its subcommand needs.
 from . import verlinde as vl
 from .errors import ArithmeticBugError, DomainError, TermBudgetError
 
@@ -29,15 +26,17 @@ ENV_TERM_BUDGET = "THETACALC_TERM_BUDGET"
 FORMATS = ("json", "markdown", "csv")
 
 
-@dataclass
 class CliConfig:
-    output_format: str = "json"
-    term_budget: int = vl.DEFAULT_TERM_BUDGET
-    lattice_preset: str = "k3_elliptic"
-    precision: int = 30
-    extra_presets: dict = field(default_factory=dict)
+    def __init__(self):
+        self.output_format = "json"
+        self.term_budget = vl.DEFAULT_TERM_BUDGET
+        self.lattice_preset = "k3_elliptic"
+        self.precision = 30
+        self.extra_presets = {}
 
-    def lattice(self) -> mk.NSLattice:
+    def lattice(self):
+        from . import mukai as mk
+
         return mk.lattice_preset(self.lattice_preset, self.extra_presets)
 
 
@@ -84,10 +83,10 @@ def _resolve_config(args) -> CliConfig:
                         f"config value {key!r} must be of type {kind.__name__}, got {value!r}"
                     )
                 setattr(cfg, key, value)
-        for name, gram in data.get("lattice_presets", {}).items():
-            cfg.extra_presets[name] = mk.NSLattice(
-                tuple(tuple(row) for row in gram), name=name
-            )
+        if "lattice_presets" in data:
+            from . import mukai as mk
+
+            cfg.extra_presets = mk.presets_from_json(data["lattice_presets"])
     env_budget = os.environ.get(ENV_TERM_BUDGET)
     if env_budget is not None:
         try:
@@ -107,7 +106,9 @@ def _resolve_config(args) -> CliConfig:
     return cfg
 
 
-def _parse_vector(spec: str, lattice: mk.NSLattice) -> mk.MukaiVector:
+def _parse_vector(spec: str, lattice):
+    from . import mukai as mk
+
     parts = spec.split(":")
     if len(parts) != 3:
         raise DomainError(f"vector spec must look like 'rank:c1,c2:point', got {spec!r}")
@@ -120,15 +121,15 @@ def _parse_vector(spec: str, lattice: mk.NSLattice) -> mk.MukaiVector:
     return mk.MukaiVector(rank, mk.NSClass(lattice, coords), point)
 
 
-def _parse_class(spec: str, lattice: mk.NSLattice) -> mk.NSClass:
+def _parse_class(spec: str, lattice):
     try:
         coords = tuple(int(c) for c in spec.split(","))
     except ValueError:
         raise DomainError(f"non-integer entry in class spec {spec!r}")
-    return mk.NSClass(lattice, coords)
+    return lattice.cls(*coords)
 
 
-def _vector_dict(v: mk.MukaiVector) -> dict:
+def _vector_dict(v) -> dict:
     return {"rank": _s(v.rank), "c1": [_s(c) for c in v.c1.coords], "point": _s(v.point)}
 
 
@@ -151,6 +152,8 @@ def _cmd_verlinde(args, cfg: CliConfig) -> dict:
 
 
 def _cmd_mukai(args, cfg: CliConfig) -> dict:
+    from . import mukai as mk
+
     lattice = cfg.lattice()
     out = {"preset": lattice.name, "v": args.v}
     v = _parse_vector(args.v, lattice)
@@ -214,6 +217,8 @@ def _check_budget(n: int, k: int, term_budget: int) -> None:
 
 
 def _cmd_duality(args, cfg: CliConfig) -> dict:
+    from . import power_duality as pdl
+
     op = args.duality_op
     if op == "wedge":
         _check_budget(args.n, args.k, cfg.term_budget)
@@ -276,6 +281,8 @@ def _cmd_duality(args, cfg: CliConfig) -> dict:
 
 
 def _cmd_elliptic(args, cfg: CliConfig) -> dict:
+    from . import elliptic_k3 as ek
+
     op = args.elliptic_op
     if op == "normalize":
         vector, twists = ek.normalize_vector(args.r, args.k, args.p)
@@ -402,6 +409,8 @@ def _render(out: dict, fmt: str) -> str:
         lines = ["| key | value |", "| --- | --- |"]
         lines += [f"| {key} | {value} |" for key, value in cells]
         return "\n".join(lines)
+    import csv
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["key", "value"])

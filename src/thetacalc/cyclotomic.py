@@ -19,10 +19,10 @@ which is totally real and positive for 1 <= d <= n-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from ._frozen import Frozen
 from .errors import DomainError, NotRationalError
 
 Rational = int | Fraction
@@ -79,20 +79,20 @@ def _reduced(m: int, vec: list[Rational]) -> tuple[Rational, ...]:
     return tuple(vec[:deg])
 
 
-@dataclass(frozen=True)
-class CycloElement:
+class CycloElement(Frozen):
     """Immutable element of Q(zeta_m) in reduced power-basis coordinates."""
 
-    order: int
-    coeffs: tuple[Rational, ...]
+    __slots__ = ("order", "coeffs")
 
-    def __post_init__(self):
-        deg = field_degree(self.order)
-        if len(self.coeffs) != deg:
+    def __init__(self, order: int, coeffs: tuple[Rational, ...]):
+        deg = field_degree(order)
+        if len(coeffs) != deg:
             raise DomainError(
-                f"coefficient vector has length {len(self.coeffs)}, "
-                f"expected {deg} for order {self.order}"
+                f"coefficient vector has length {len(coeffs)}, "
+                f"expected {deg} for order {order}"
             )
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def from_polynomial(cls, order: int, coeffs) -> "CycloElement":
@@ -176,9 +176,6 @@ class CycloElement:
     @property
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
-
-    def __repr__(self) -> str:
-        return f"CycloElement(order={self.order}, coeffs={self.coeffs})"
 
 
 def root_of_unity(m: int, e: int) -> CycloElement:

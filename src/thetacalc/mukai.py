@@ -78,13 +78,30 @@ def lattice_preset(name: str, extra: dict[str, NSLattice] | None = None) -> NSLa
     return NSLattice(BUILTIN_PRESETS[name], name=name)
 
 
-def load_preset_file(path: str | Path) -> dict[str, NSLattice]:
-    """Read named Gram matrices from a JSON file {name: [[...], ...]}."""
-    data = json.loads(Path(path).read_text())
+def presets_from_json(data) -> dict[str, NSLattice]:
+    """Named lattices from a parsed JSON object {name: [[...], ...]}.
+
+    Each Gram matrix must be a non-empty, square, symmetric list of lists
+    of JSON integers; a float, a boolean or any other shape raises
+    DomainError.
+    """
+    if not isinstance(data, dict):
+        raise DomainError("lattice presets must be a JSON object {name: Gram matrix}")
     presets = {}
     for name, gram in data.items():
+        if not isinstance(gram, list) or not all(
+            isinstance(row, list) and all(type(x) is int for x in row) for row in gram
+        ):
+            raise DomainError(
+                f"Gram matrix of lattice preset {name!r} must be a list of lists of integers"
+            )
         presets[name] = NSLattice(tuple(tuple(row) for row in gram), name=name)
     return presets
+
+
+def load_preset_file(path: str | Path) -> dict[str, NSLattice]:
+    """Read named Gram matrices from a JSON file {name: [[...], ...]}."""
+    return presets_from_json(json.loads(Path(path).read_text()))
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,9 @@ from .errors import ArithmeticBugError, DegenerateConfigError, DomainError
 Rat = int | Fraction
 
 
-@lru_cache(maxsize=None)
+# A theta query asks for the k- and the (n-k)-subsets twice each: once for
+# the wedge coefficients and once for the duality matrix.
+@lru_cache(maxsize=4)
 def subsets_colex(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """All k-subsets of {1..n} in colexicographic order.
 
@@ -136,7 +138,7 @@ class WedgeMatrix:
         }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2)
 def wedge_duality_matrix(n: int, k: int) -> WedgeMatrix:
     """Matrix of e_S (x) e_T -> coefficient of e_{1..n} in e_S ^ e_T.
 
@@ -336,8 +338,22 @@ class PointConfig:
 
 
 def parse_model(data) -> tuple[tuple[int, int], ...]:
-    """Exponent pairs (ex, ey) of the monomials x^ex * y^ey from JSON."""
-    return tuple((int(ex), int(ey)) for ex, ey in data)
+    """Exponent pairs (ex, ey) of the monomials x^ex * y^ey from JSON.
+
+    Each pair must hold two integers, negative (Laurent) exponents
+    included; a float, a boolean or a string raises DomainError rather
+    than being truncated or read as a number.
+    """
+    model = []
+    for pair in data:
+        if not (
+            isinstance(pair, (list, tuple))
+            and len(pair) == 2
+            and all(type(e) is int for e in pair)
+        ):
+            raise DomainError(f"model entry {pair!r} is not a pair of integer exponents")
+        model.append(tuple(pair))
+    return tuple(model)
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")

@@ -36,33 +36,32 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from ._frozen import Frozen
 from .cyclotomic import CycloElement, to_rational, two_sin
 from .errors import DomainError, NotIntegralError, TermBudgetError
 
 DEFAULT_TERM_BUDGET = 200_000
 
 
-@dataclass(frozen=True)
-class VerlindeQuery:
+class VerlindeQuery(Frozen):
     """Rank, level and genus of a single Verlinde-number evaluation."""
 
-    rank: int
-    level: int
-    genus: int
+    __slots__ = ("rank", "level", "genus")
 
-    def __post_init__(self):
-        if self.rank < 1 or self.level < 1:
+    def __init__(self, rank: int, level: int, genus: int):
+        if rank < 1 or level < 1:
             raise DomainError("rank and level must be >= 1")
-        if self.genus < 2:
+        if genus < 2:
             raise DomainError("genus must be >= 2")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "genus", genus)
 
 
-@dataclass(frozen=True)
-class VerlindeReport:
+class VerlindeReport(Frozen):
     """Both sides of the rank-level symmetry for one query.
 
     `symmetry_holds` compares v_{r,k} * k^g with v_{k,r} * r^g.  Both
@@ -71,11 +70,21 @@ class VerlindeReport:
     count in the tests.
     """
 
-    query: VerlindeQuery
-    value: int
-    modified_value: int
-    partner_value: int
-    symmetry_holds: bool
+    __slots__ = ("query", "value", "modified_value", "partner_value", "symmetry_holds")
+
+    def __init__(
+        self,
+        query: VerlindeQuery,
+        value: int,
+        modified_value: int,
+        partner_value: int,
+        symmetry_holds: bool,
+    ):
+        object.__setattr__(self, "query", query)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "modified_value", modified_value)
+        object.__setattr__(self, "partner_value", partner_value)
+        object.__setattr__(self, "symmetry_holds", symmetry_holds)
 
 
 def _distance_exponent_groups(n: int, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:

@@ -209,6 +209,16 @@ def test_duality_theta_vanishes_rejects_coordinate_notation(capsys, tmp_path, co
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("entry", [[1.5, 0], [True, 0], ["1", 0], [None, 0], [0], [0, 0, 0], 1])
+def test_duality_theta_vanishes_rejects_model_exponents(capsys, tmp_path, entry):
+    points = tmp_path / "points.json"
+    config = {"model": [entry, [0, 0]], "Z": [[1, 1]], "W": [[2, 3]]}
+    points.write_text(json.dumps(config))
+    code, out, err = _run(capsys, "duality", "theta-vanishes", "--points", str(points))
+    assert code == 2 and out == ""
+    assert "integer exponents" in err and "Traceback" not in err
+
+
 def test_duality_theta_vanishes_laurent_model(capsys, tmp_path):
     points = tmp_path / "points.json"
     config = {"model": [[0, 0], [-1, 0], [0, 1]], "Z": [["1/2", 1]], "W": [[1, 2], [3, -4]]}
@@ -370,6 +380,17 @@ def test_config_file(capsys, tmp_path):
         ({"output_format": 3}, ["verlinde", "2", "1", "2"]),
         ({"lattice_preset": ["k3_elliptic"]}, ["mukai", "fm", "--v", "1:0,0:1"]),
         ([1, 2], ["verlinde", "2", "1", "2"]),
+        ({"lattice_presets": {"x": 5}}, ["verlinde", "2", "1", "2"]),
+        ({"lattice_presets": [1]}, ["verlinde", "2", "1", "2"]),
+        (
+            {"lattice_presets": {"x": [[1.5]]}},
+            ["--lattice", "x", "mukai", "pair", "--v=1:1:0", "--w=1:1:0"],
+        ),
+        ({"lattice_presets": {"x": [[True]]}}, ["verlinde", "2", "1", "2"]),
+        ({"lattice_presets": {"x": [1]}}, ["verlinde", "2", "1", "2"]),
+        ({"lattice_presets": {"x": [["1"]]}}, ["verlinde", "2", "1", "2"]),
+        ({"lattice_presets": {"x": []}}, ["verlinde", "2", "1", "2"]),
+        ({"lattice_presets": {"x": [[1, 0], [0]]}}, ["verlinde", "2", "1", "2"]),
     ],
 )
 def test_config_value_types(capsys, tmp_path, config, argv):

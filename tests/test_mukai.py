@@ -283,3 +283,8 @@ def test_presets_and_config_file(tmp_path):
     presets = load_preset_file(path)
     assert presets["abelian_product"].gram == ((0, 1), (1, 0))
     assert lattice_preset("abelian_product", presets).name == "abelian_product"
+    bad = ([[1]], {"x": 5}, {"x": [[1.5]]}, {"x": [[False]]}, {"x": []}, {"x": [[0, 1], [2, 0]]})
+    for data in bad:
+        path.write_text(json.dumps(data))
+        with pytest.raises(DomainError):
+            load_preset_file(path)

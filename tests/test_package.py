@@ -1,0 +1,124 @@
+"""The lazy package namespace and the modules each CLI query imports."""
+
+from __future__ import annotations
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import thetacalc
+
+# Every name the package exported when its __init__ imported each module.
+EXPORTED = {
+    "cyclotomic": (
+        "CycloElement cyclotomic_polynomial root_of_unity to_rational two_sin"
+    ),
+    "elliptic_k3": (
+        "DualityDims EllipticPair HilbClass NormalizedVector NuResult ThetaClass "
+        "chi_of_vector chi_pair compute_nu elliptic_lattice normalize_vector "
+        "normalized_vector ns_class strange_duality_dims tautological_line_bundle "
+        "theta_bundle_class"
+    ),
+    "errors": (
+        "ArithmeticBugError DegenerateConfigError DivisibilityError DomainError "
+        "LatticeMismatchError NotIntegralError NotRationalError NuTooWeakError "
+        "TermBudgetError ThetaCalcError"
+    ),
+    "mukai": (
+        "ConjectureVerdict MukaiVector NSClass NSLattice c1_proportional c1_tensor "
+        "check_conjecture chi_abelian chi_k3 chi_tensor dv fm_transform "
+        "lattice_preset load_preset_file mukai_pairing"
+    ),
+    "power_duality": (
+        "PointConfig SubsetIndex SymDualityMatrix WedgeMatrix evaluation_covector "
+        "evaluate_sym_form incidence_form pair_wedge subsets_colex sym_duality_matrix "
+        "theta_vanishes wedge_duality_matrix"
+    ),
+    "verlinde": (
+        "DEFAULT_TERM_BUDGET VerlindeQuery VerlindeReport check_rank_level_symmetry "
+        "float_oracle level_one_oracle modified_verlinde verlinde_number"
+    ),
+}
+
+SRC = str(Path(thetacalc.__file__).resolve().parent.parent)
+
+
+def _fresh(script: str) -> str:
+    """Stdout of a script run in a fresh interpreter that imports this thetacalc."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    return result.stdout
+
+
+def _loaded_after(argv: list[str]) -> set[str]:
+    """Modules in sys.modules after one CLI query in a fresh interpreter."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from thetacalc.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main({argv!r})\n"
+        "assert code == 0, code\n"
+        "sys.stdout.write(json.dumps(sorted(sys.modules)))\n"
+    )
+    return set(json.loads(_fresh(script)))
+
+
+def test_verlinde_query_imports_only_its_modules():
+    loaded = _loaded_after(["verlinde", "2", "1", "2"])
+    assert {"thetacalc.cli", "thetacalc.verlinde", "thetacalc.cyclotomic"} <= loaded
+    unwanted = {
+        "thetacalc.mukai",
+        "thetacalc.power_duality",
+        "thetacalc.elliptic_k3",
+        "dataclasses",
+        "mpmath",
+    }
+    assert not unwanted & loaded
+
+
+def test_mukai_query_imports_only_its_modules():
+    loaded = _loaded_after(["mukai", "pair", "--v=1:1,0:0", "--w=0:0,1:2"])
+    assert "thetacalc.mukai" in loaded
+    assert not {"thetacalc.power_duality", "thetacalc.elliptic_k3"} & loaded
+
+
+def test_all_lists_every_exported_name():
+    names = [name for group in EXPORTED.values() for name in group.split()]
+    assert sorted(thetacalc.__all__) == sorted(names)
+
+
+@pytest.mark.parametrize("module", sorted(EXPORTED))
+def test_names_resolve_to_submodule_objects(module):
+    submodule = importlib.import_module(f"thetacalc.{module}")
+    for name in EXPORTED[module].split():
+        assert getattr(thetacalc, name) is getattr(submodule, name)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        thetacalc.no_such_name  # noqa: B018
+    assert not hasattr(thetacalc, "no_such_name")
+
+
+def test_submodule_and_star_imports():
+    script = (
+        "import sys, thetacalc\n"
+        "assert not [m for m in sys.modules if m.startswith('thetacalc.')]\n"
+        "from thetacalc import cyclotomic\n"
+        "assert cyclotomic is sys.modules['thetacalc.cyclotomic']\n"
+        "from thetacalc import *\n"
+        "assert two_sin is cyclotomic.two_sin\n"
+        "assert DomainError is sys.modules['thetacalc.errors'].DomainError\n"
+        "print([name for name in thetacalc.__all__ if name not in globals()])\n"
+    )
+    assert _fresh(script) == "[]\n"
+    from thetacalc import power_duality
+
+    assert power_duality is sys.modules["thetacalc.power_duality"]

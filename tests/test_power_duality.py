@@ -290,6 +290,9 @@ def test_point_parsing_errors():
     with pytest.raises(DomainError, match="zero denominator"):
         PointConfig.from_json_dict({"model": [[0, 0]], "points": [[1, "3/0"]]})
     assert parse_model([[0, 0], [-1, 2]]) == ((0, 0), (-1, 2))
+    for entry in ([1.5, 0], [0, True], ["1", 0], [0], [0, 0, 0]):
+        with pytest.raises(DomainError, match="integer exponents"):
+            parse_model([[0, 0], entry])
     assert parse_point(["-3/4", -5]) == (Fraction(-3, 4), Fraction(-5))
     for coordinate in ("1e10000000", "2E3", "0.5", ".5", "1_000", "-1/-2", 1.5, False):
         with pytest.raises(DomainError, match="not an integer or a string 'p/q'"):
