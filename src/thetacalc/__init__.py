@@ -26,7 +26,6 @@ _EXPORTS = {
     "elliptic_k3": (
         "DualityDims",
         "EllipticPair",
-        "HilbClass",
         "NormalizedVector",
         "NuResult",
         "ThetaClass",
@@ -38,7 +37,6 @@ _EXPORTS = {
         "normalized_vector",
         "ns_class",
         "strange_duality_dims",
-        "tautological_line_bundle",
         "theta_bundle_class",
     ),
     "errors": (
@@ -71,8 +69,6 @@ _EXPORTS = {
         "mukai_pairing",
     ),
     "power_duality": (
-        "PointConfig",
-        "SubsetIndex",
         "SymDualityMatrix",
         "WedgeMatrix",
         "evaluation_covector",

@@ -1,17 +1,39 @@
-"""Immutable value records over ``__slots__``, without ``dataclasses``.
+"""Immutable value records over ``__slots__``, the base of every record in the package.
 
-The modules of the Verlinde path (``cyclotomic`` and ``verlinde``) build
-their value types on this base rather than on ``dataclass(frozen=True)``:
-importing ``dataclasses`` loads ``inspect`` and costs more than the rest of
-that path's imports together.  A subclass lists its fields in
-``__slots__`` and sets them in ``__init__`` with ``object.__setattr__``.
-The base supplies field-wise ``==`` and ``hash``, a keyword ``repr`` and
-pickling, and refuses assignment and deletion as a frozen dataclass does.
+A subclass lists its fields in ``__slots__``.  The base binds positional
+and keyword arguments to them, raising TypeError on a missing, unknown or
+repeated field, then calls the subclass's ``_validate`` hook.  It supplies
+field-wise ``==`` and ``hash``, a keyword ``repr`` and pickling, and
+refuses assignment and deletion.  Generating these methods per class at
+import time, as the standard library's frozen record decorator does, loads
+``inspect`` and costs more than the rest of a query's imports together.  A
+record built in a hot loop may define its own ``__init__`` that sets the
+fields with ``object.__setattr__``.
 """
 
 
 class Frozen:
     __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        cls = type(self).__name__
+        if len(args) > len(names):
+            raise TypeError(f"{cls}() takes {len(names)} arguments but {len(args)} were given")
+        values = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names or name in values:
+                raise TypeError(f"{cls}() got an unexpected or repeated argument {name!r}")
+            values[name] = value
+        missing = [name for name in names if name not in values]
+        if missing:
+            raise TypeError(f"{cls}() missing arguments: {', '.join(missing)}")
+        for name in names:
+            object.__setattr__(self, name, values[name])
+        self._validate()
+
+    def _validate(self) -> None:
+        """Check the bound fields; a subclass raises DomainError here."""
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

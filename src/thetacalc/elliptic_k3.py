@@ -24,8 +24,8 @@ theta sections have dimensions C(chi(L), a) = C(chi(L), b).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._frozen import Frozen
 from .errors import DivisibilityError, DomainError, NuTooWeakError
 from .mukai import MukaiVector, NSClass, NSLattice, lattice_preset, mukai_pairing
 
@@ -46,15 +46,12 @@ def chi_of_vector(v: MukaiVector) -> int:
     return v.rank + v.point
 
 
-@dataclass(frozen=True)
-class NormalizedVector:
+class NormalizedVector(Frozen):
     """A chi = 1 Mukai vector (r, sigma + (a - r(r-1)) f, (1-r) omega)."""
 
-    r: int
-    a: int
-    vector: MukaiVector
+    __slots__ = ("r", "a", "vector")
 
-    def __post_init__(self):
+    def _validate(self) -> None:
         if self.r < 1:
             raise DomainError("rank must be >= 1")
         if self.a < 1:
@@ -93,13 +90,10 @@ def normalize_vector(r: int, c1_fiber_coeff: int, p: int) -> tuple[NormalizedVec
     return normalized_vector(r, a), twists
 
 
-@dataclass(frozen=True)
-class NuResult:
+class NuResult(Frozen):
     """Fiber-twist exponent killing the Euler characteristic of a pair."""
 
-    nu: int
-    divisible: bool
-    nu_strong: bool
+    __slots__ = ("nu", "divisible", "nu_strong")
 
 
 def _validate_pair(r: int, s: int, a: int, b: int) -> None:
@@ -128,14 +122,10 @@ def chi_pair(r: int, s: int, a: int, b: int) -> int:
     return a + b - 2 - (r + s) * (r + s - 2)
 
 
-@dataclass(frozen=True)
-class ThetaClass:
+class ThetaClass(Frozen):
     """Theta line bundle class on the Hilbert scheme side, as (L, M exponent)."""
 
-    L: NSClass
-    m_exponent: int
-    hilb_points: int
-    chi: int
+    __slots__ = ("L", "m_exponent", "hilb_points", "chi")
 
 
 def theta_bundle_class(r: int, s: int, a: int, b: int) -> ThetaClass:
@@ -152,14 +142,10 @@ def theta_bundle_class(r: int, s: int, a: int, b: int) -> ThetaClass:
     return ThetaClass(L=L, m_exponent=1, hilb_points=a, chi=chi_L)
 
 
-@dataclass(frozen=True)
-class DualityDims:
+class DualityDims(Frozen):
     """Dimensions of the dual spaces of theta sections plus hypothesis flags."""
 
-    dim_a: int
-    dim_b: int
-    equal: bool
-    corollary_applies: bool
+    __slots__ = ("dim_a", "dim_b", "equal", "corollary_applies")
 
 
 def strange_duality_dims(r: int, s: int, a: int, b: int) -> DualityDims:
@@ -187,35 +173,12 @@ def strange_duality_dims(r: int, s: int, a: int, b: int) -> DualityDims:
     )
 
 
-@dataclass(frozen=True)
-class HilbClass:
-    """Line bundle on a Hilbert scheme of points split as (descended NS part, M exponent)."""
-
-    ns_part: NSClass
-    m_exponent: int
-
-
-def tautological_line_bundle(rank: int, det_class: NSClass, k: int) -> HilbClass:
-    """Induced determinant bundle of a K-class: depends only on (determinant, rank)."""
-    if k < 1:
-        raise DomainError("number of points k must be >= 1")
-    return HilbClass(ns_part=det_class, m_exponent=rank)
-
-
-@dataclass(frozen=True)
-class EllipticPair:
+class EllipticPair(Frozen):
     """All derived data of a rank/half-dimension pair (r, s, a, b)."""
 
-    r: int
-    s: int
-    a: int
-    b: int
-    nu: int
-    L: NSClass
-    chi_L: int
-    predicted_dims: tuple[int, int]
+    __slots__ = ("r", "s", "a", "b", "nu", "L", "chi_L", "predicted_dims")
 
-    def __post_init__(self):
+    def _validate(self) -> None:
         if (self.a + self.b - 2) % (self.r + self.s) != 0:
             raise DivisibilityError(self.r + self.s, self.a + self.b - 2)
         if self.chi_L != self.a + self.b:

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+from ._frozen import Frozen
 from .errors import DomainError, LatticeMismatchError, NotIntegralError
 
 BUILTIN_PRESETS: dict[str, tuple[tuple[int, ...], ...]] = {
@@ -32,14 +32,15 @@ BUILTIN_PRESETS: dict[str, tuple[tuple[int, ...], ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class NSLattice:
+class NSLattice(Frozen):
     """Integral lattice with a symmetric Gram matrix (divisor intersection form)."""
 
-    gram: tuple[tuple[int, ...], ...]
-    name: str = ""
+    __slots__ = ("gram", "name")
 
-    def __post_init__(self):
+    def __init__(self, gram: tuple[tuple[int, ...], ...], name: str = ""):
+        super().__init__(gram, name)
+
+    def _validate(self) -> None:
         n = len(self.gram)
         if n == 0 or any(len(row) != n for row in self.gram):
             raise DomainError("Gram matrix must be square and non-empty")
@@ -104,14 +105,12 @@ def load_preset_file(path: str | Path) -> dict[str, NSLattice]:
     return presets_from_json(json.loads(Path(path).read_text()))
 
 
-@dataclass(frozen=True)
-class NSClass:
+class NSClass(Frozen):
     """Integer divisor class in a fixed lattice."""
 
-    lattice: NSLattice
-    coords: tuple[int, ...]
+    __slots__ = ("lattice", "coords")
 
-    def __post_init__(self):
+    def _validate(self) -> None:
         if len(self.coords) != self.lattice.rank:
             raise DomainError(
                 f"class has {len(self.coords)} coordinates, "
@@ -151,13 +150,10 @@ class NSClass:
         return all(a == 0 for a in self.coords)
 
 
-@dataclass(frozen=True)
-class MukaiVector:
+class MukaiVector(Frozen):
     """Triple (rank, c1, point coefficient) in the even cohomology of a surface."""
 
-    rank: int
-    c1: NSClass
-    point: int
+    __slots__ = ("rank", "c1", "point")
 
     @property
     def lattice(self) -> NSLattice:
@@ -280,17 +276,18 @@ def fm_transform(v: MukaiVector) -> MukaiVector:
     return MukaiVector(v.point, -v.c1, v.rank)
 
 
-@dataclass(frozen=True)
-class ConjectureVerdict:
+class ConjectureVerdict(Frozen):
     """Individual strange-duality hypotheses for a pair of vectors, and their conjunction."""
 
-    orthogonal: bool
-    v_primitive: bool
-    w_primitive: bool
-    v_positive: bool
-    w_positive: bool
-    slope_condition: bool
-    applicable: bool
+    __slots__ = (
+        "orthogonal",
+        "v_primitive",
+        "w_primitive",
+        "v_positive",
+        "w_positive",
+        "slope_condition",
+        "applicable",
+    )
 
 
 def _is_primitive(v: MukaiVector) -> bool:

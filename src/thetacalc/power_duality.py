@@ -22,19 +22,19 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
+from ._frozen import Frozen
 from .errors import ArithmeticBugError, DegenerateConfigError, DomainError
 
 Rat = int | Fraction
 
 
-# A theta query asks for the k- and the (n-k)-subsets twice each: once for
-# the wedge coefficients and once for the duality matrix.
-@lru_cache(maxsize=4)
+# A theta query asks for the k-subsets for the wedge of Z and the
+# (n-k)-subsets for the wedge of W; when k = n-k that is one list twice.
+@lru_cache(maxsize=2)
 def subsets_colex(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """All k-subsets of {1..n} in colexicographic order.
 
@@ -47,38 +47,7 @@ def subsets_colex(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(s[::-1] for s in reversed(list(combinations(range(n, 0, -1), k))))
 
 
-def shuffle_sign(subset: tuple[int, ...]) -> int:
-    """Sign of the permutation (1..n) -> (subset ascending, complement ascending).
-
-    The i-th smallest member s jumps over s - i complement members, so the
-    permutation has sum(subset) - k(k+1)/2 inversions for |subset| = k.
-    """
-    k = len(subset)
-    return -1 if (sum(subset) - k * (k + 1) // 2) % 2 else 1
-
-
-@dataclass(frozen=True)
-class SubsetIndex:
-    """A strictly increasing subset of {1..n}, the basis label e_S."""
-
-    n: int
-    members: tuple[int, ...]
-
-    def __post_init__(self):
-        m = self.members
-        if any(not 1 <= x <= self.n for x in m) or any(
-            m[i] >= m[i + 1] for i in range(len(m) - 1)
-        ):
-            raise DomainError(f"members must be strictly increasing within 1..{self.n}")
-
-    @property
-    def complement(self) -> tuple[int, ...]:
-        inside = set(self.members)
-        return tuple(x for x in range(1, self.n + 1) if x not in inside)
-
-
-@dataclass(frozen=True)
-class WedgeMatrix:
+class WedgeMatrix(Frozen):
     """Signed-permutation matrix of the pairing between complementary exterior powers.
 
     Rows are indexed by k-subsets, columns by (n-k)-subsets, both in colex
@@ -86,19 +55,31 @@ class WedgeMatrix:
     ``row_to_col[i]`` (the complement of the i-th row subset).
     """
 
-    n: int
-    k: int
-    rows: tuple[tuple[int, ...], ...]
-    cols: tuple[tuple[int, ...], ...]
-    row_to_col: tuple[int, ...]
-    signs: tuple[int, ...]
+    __slots__ = ("n", "k", "signs")
 
     @property
     def size(self) -> int:
-        return len(self.rows)
+        return len(self.signs)
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return subsets_colex(self.n, self.k)
+
+    @property
+    def cols(self) -> tuple[tuple[int, ...], ...]:
+        return subsets_colex(self.n, self.n - self.k)
+
+    @property
+    def row_to_col(self) -> tuple[int, ...]:
+        """Complementing reverses colex order: row i pairs with column size-1-i.
+
+        Colex order of subsets is the numeric order of their bitmasks, and
+        the complement mask is (2^n - 1) - mask.
+        """
+        return tuple(range(self.size - 1, -1, -1))
 
     def entry(self, i: int, j: int) -> int:
-        return self.signs[i] if self.row_to_col[i] == j else 0
+        return self.signs[i] if i + j == self.size - 1 else 0
 
     def entry_by_subsets(self, s: tuple[int, ...], t: tuple[int, ...]) -> int:
         i = self.rows.index(tuple(s))
@@ -106,35 +87,22 @@ class WedgeMatrix:
         return self.entry(i, j)
 
     def determinant(self) -> int:
-        """Exact determinant: permutation sign times the product of entry signs."""
-        sign = 1
-        seen = [False] * self.size
-        for start in range(self.size):
-            if seen[start]:
-                continue
-            length = 0
-            i = start
-            while not seen[i]:
-                seen[i] = True
-                i = self.row_to_col[i]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        for s in self.signs:
-            sign *= s
-        return sign
+        """Exact determinant: the sign of the reversal times the product of entry signs.
+
+        Reversing N indices takes floor(N/2) transpositions.
+        """
+        return -1 if (self.size // 2 + self.signs.count(-1)) % 2 else 1
 
     def dense(self) -> list[list[int]]:
         return [[self.entry(i, j) for j in range(self.size)] for i in range(self.size)]
 
     def to_json_dict(self) -> dict:
+        last = self.size - 1
         return {
             "n": self.n,
             "k": self.k,
             "index_order": "colex",
-            "entries": [
-                [i, self.row_to_col[i], self.signs[i]] for i in range(self.size)
-            ],
+            "entries": [[i, last - i, s] for i, s in enumerate(self.signs)],
         }
 
 
@@ -142,29 +110,44 @@ class WedgeMatrix:
 def wedge_duality_matrix(n: int, k: int) -> WedgeMatrix:
     """Matrix of e_S (x) e_T -> coefficient of e_{1..n} in e_S ^ e_T.
 
-    Colex order of subsets is the numeric order of their bitmasks, and the
-    complement mask is (2^n - 1) - mask, so complementing reverses colex
-    order: row i pairs with column C(n,k) - 1 - i.
+    The coefficient is the sign of the shuffle (S ascending, T ascending),
+    (-1)^(sum(S) - k(k+1)/2): the i-th smallest member s of S jumps over
+    s - i members of T.  The signs in colex order are built without
+    listing a subset, for the smaller side k' = min(k, n-k).  The
+    j-subsets with largest member m are the (j-1)-subsets of {1..m-1}
+    followed by m; adding m raises the sum by m and j(j+1)/2 by j, so
+    their block is the first C(m-1, j-1) signs of the (j-1)-subsets times
+    (-1)^(m-j).  Level j of the loop holds the j-subsets of {1..n-k'+j},
+    so there are C(n+1, k') <= 2 C(n, k) signs over all levels.  For
+    k > n-k, row i is the complement of row C(n,k)-1-i of the (n-k)-side,
+    and swapping the two blocks of a shuffle multiplies its sign by
+    (-1)^(k(n-k)).
     """
-    rows = subsets_colex(n, k)
-    cols = subsets_colex(n, n - k)
-    row_to_col = tuple(range(len(rows) - 1, -1, -1))
-    signs = tuple(shuffle_sign(s) for s in rows)
-    return WedgeMatrix(n, k, rows, cols, row_to_col, signs)
+    if not 0 <= k <= n:
+        raise DomainError(f"need 0 <= k <= n, got k={k}, n={n}")
+    small = min(k, n - k)
+    signs = [1]
+    for j in range(1, small + 1):
+        flipped = [-s for s in signs]
+        level = []
+        for m in range(j, n - small + j + 1):
+            level += (flipped if (m - j) % 2 else signs)[: math.comb(m - 1, j - 1)]
+        signs = level
+    if small < k:
+        signs = [-s for s in reversed(signs)] if k * (n - k) % 2 else signs[::-1]
+    return WedgeMatrix(n, k, tuple(signs))
 
 
 def pair_wedge(n: int, k: int, alpha, beta) -> Fraction:
     """Coefficient of e_{1..n} in alpha ^ beta for coefficient vectors in colex order."""
-    matrix = wedge_duality_matrix(n, k)
-    if len(alpha) != matrix.size or len(beta) != len(matrix.cols):
-        raise DomainError(
-            f"expected coefficient vectors of lengths {matrix.size} and {len(matrix.cols)}"
-        )
+    signs = wedge_duality_matrix(n, k).signs
+    size = math.comb(n, k)  # = C(n, n-k), the length of beta as well
+    if len(alpha) != size or len(beta) != size:
+        raise DomainError(f"expected coefficient vectors of lengths {size} and {size}")
     total = Fraction(0)
-    for i in range(matrix.size):
-        a = alpha[i]
+    for a, s, b in zip(alpha, signs, reversed(beta)):
         if a:
-            total += a * matrix.signs[i] * beta[matrix.row_to_col[i]]
+            total += a * s * b
     return Fraction(total)
 
 
@@ -316,27 +299,6 @@ def wedge_coefficients(vectors, n: int, k: int) -> tuple[Fraction, ...]:
     return tuple(wedge.get(mask, 0) * factor for mask in masks)
 
 
-@dataclass(frozen=True)
-class PointConfig:
-    """Rational plane points together with a monomial section model.
-
-    Coordinates in the JSON form may be integers or rational strings "p/q",
-    keeping the whole pipeline exact.
-    """
-
-    points: tuple[tuple[Fraction, Fraction], ...]
-    section_model: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if len(set(self.points)) != len(self.points):
-            raise DegenerateConfigError("coincident points in the configuration")
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "PointConfig":
-        points = tuple(parse_point(p) for p in data.get("points", ()))
-        return cls(points, parse_model(data["model"]))
-
-
 def parse_model(data) -> tuple[tuple[int, int], ...]:
     """Exponent pairs (ex, ey) of the monomials x^ex * y^ey from JSON.
 
@@ -434,18 +396,14 @@ def multinomial(alpha: tuple[int, ...]) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class SymDualityMatrix:
+class SymDualityMatrix(Frozen):
     """Diagonal matrix of the perfect pairing between Sym^n(W) and Sym^n(W*).
 
     In monomial bases on both sides the pairing of x^alpha with xi^alpha is
     the multinomial coefficient n!/alpha!; off-diagonal entries vanish.
     """
 
-    w_dim: int
-    degree: int
-    monomials: tuple[tuple[int, ...], ...]
-    diagonal: tuple[int, ...]
+    __slots__ = ("w_dim", "degree", "monomials", "diagonal")
 
     @property
     def size(self) -> int:

@@ -51,14 +51,11 @@ class VerlindeQuery(Frozen):
 
     __slots__ = ("rank", "level", "genus")
 
-    def __init__(self, rank: int, level: int, genus: int):
-        if rank < 1 or level < 1:
+    def _validate(self) -> None:
+        if self.rank < 1 or self.level < 1:
             raise DomainError("rank and level must be >= 1")
-        if genus < 2:
+        if self.genus < 2:
             raise DomainError("genus must be >= 2")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "genus", genus)
 
 
 class VerlindeReport(Frozen):
@@ -71,20 +68,6 @@ class VerlindeReport(Frozen):
     """
 
     __slots__ = ("query", "value", "modified_value", "partner_value", "symmetry_holds")
-
-    def __init__(
-        self,
-        query: VerlindeQuery,
-        value: int,
-        modified_value: int,
-        partner_value: int,
-        symmetry_holds: bool,
-    ):
-        object.__setattr__(self, "query", query)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "modified_value", modified_value)
-        object.__setattr__(self, "partner_value", partner_value)
-        object.__setattr__(self, "symmetry_holds", symmetry_holds)
 
 
 def _distance_exponent_groups(n: int, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:

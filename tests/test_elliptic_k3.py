@@ -14,7 +14,6 @@ from thetacalc.elliptic_k3 import (
     normalized_vector,
     ns_class,
     strange_duality_dims,
-    tautological_line_bundle,
     theta_bundle_class,
 )
 from thetacalc.errors import DivisibilityError, DomainError, NuTooWeakError
@@ -187,18 +186,6 @@ def test_strength_condition_equivalences():
                 pairing_sum = (2 * a - 2) + (2 * b - 2)
                 assert strong == (pairing_sum >= 2 * total**2)
                 assert result.nu_strong == strong
-
-
-def test_tautological_line_bundle():
-    divisor = ns_class(2, 5)
-    rank0 = tautological_line_bundle(0, divisor, 3)
-    assert rank0.ns_part == divisor and rank0.m_exponent == 0
-    exceptional = tautological_line_bundle(1, ns_class(0, 0), 2)
-    assert exceptional.ns_part.is_zero and exceptional.m_exponent == 1
-    # only determinant and rank matter, so twisting by an ideal sheaf changes nothing
-    assert tautological_line_bundle(2, divisor, 4) == tautological_line_bundle(2, divisor, 4)
-    with pytest.raises(DomainError):
-        tautological_line_bundle(1, divisor, 0)
 
 
 def test_elliptic_pair_builder():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -19,10 +20,9 @@ EXPORTED = {
         "CycloElement cyclotomic_polynomial root_of_unity to_rational two_sin"
     ),
     "elliptic_k3": (
-        "DualityDims EllipticPair HilbClass NormalizedVector NuResult ThetaClass "
+        "DualityDims EllipticPair NormalizedVector NuResult ThetaClass "
         "chi_of_vector chi_pair compute_nu elliptic_lattice normalize_vector "
-        "normalized_vector ns_class strange_duality_dims tautological_line_bundle "
-        "theta_bundle_class"
+        "normalized_vector ns_class strange_duality_dims theta_bundle_class"
     ),
     "errors": (
         "ArithmeticBugError DegenerateConfigError DivisibilityError DomainError "
@@ -35,9 +35,9 @@ EXPORTED = {
         "lattice_preset load_preset_file mukai_pairing"
     ),
     "power_duality": (
-        "PointConfig SubsetIndex SymDualityMatrix WedgeMatrix evaluation_covector "
-        "evaluate_sym_form incidence_form pair_wedge subsets_colex sym_duality_matrix "
-        "theta_vanishes wedge_duality_matrix"
+        "SymDualityMatrix WedgeMatrix evaluation_covector evaluate_sym_form "
+        "incidence_form pair_wedge subsets_colex sym_duality_matrix theta_vanishes "
+        "wedge_duality_matrix"
     ),
     "verlinde": (
         "DEFAULT_TERM_BUDGET VerlindeQuery VerlindeReport check_rank_level_symmetry "
@@ -89,6 +89,23 @@ def test_mukai_query_imports_only_its_modules():
     assert not {"thetacalc.power_duality", "thetacalc.elliptic_k3"} & loaded
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["duality", "wedge", "3", "1"],
+        ["duality", "theta-vanishes", "--points", "POINTS"],
+        ["mukai", "pair", "--v=1:1,0:0", "--w=0:0,1:2"],
+        ["elliptic", "dims", "2", "2", "8", "10"],
+    ],
+)
+def test_record_queries_load_neither_dataclasses_nor_inspect(argv, tmp_path):
+    points = tmp_path / "points.json"
+    config = {"model": [[0, 0], [1, 0], [0, 1]], "Z": [[1, 2]], "W": [[3, 5], [4, 7]]}
+    points.write_text(json.dumps(config))
+    loaded = _loaded_after([str(points) if arg == "POINTS" else arg for arg in argv])
+    assert not {"dataclasses", "inspect"} & loaded
+
+
 def test_all_lists_every_exported_name():
     names = [name for group in EXPORTED.values() for name in group.split()]
     assert sorted(thetacalc.__all__) == sorted(names)
@@ -122,3 +139,32 @@ def test_submodule_and_star_imports():
     from thetacalc import power_duality
 
     assert power_duality is sys.modules["thetacalc.power_duality"]
+
+
+def test_records_bind_fields_like_frozen_dataclasses():
+    from thetacalc.elliptic_k3 import NuResult
+    from thetacalc.errors import DomainError
+    from thetacalc.mukai import NSClass, NSLattice
+
+    lattice = NSLattice(((2,),))
+    assert lattice == NSLattice(gram=((2,),), name="") and lattice.name == ""
+    assert repr(NSLattice(((2,),), "a")) == "NSLattice(gram=((2,),), name='a')"
+    nu = NuResult(-2, divisible=True, nu_strong=True)
+    assert nu == NuResult(nu=-2, divisible=True, nu_strong=True) != NuResult(-3, True, True)
+    assert hash(nu) == hash(NuResult(-2, True, True))
+    assert pickle.loads(pickle.dumps(nu)) == nu
+    # missing, surplus, unknown and repeated fields
+    for args, kwargs in [
+        ((-2, True), {}),
+        ((-2, True, True, 1), {}),
+        ((-2, True), {"strong": 1}),
+        ((-2, True, True), {"nu": 1}),
+    ]:
+        with pytest.raises(TypeError):
+            NuResult(*args, **kwargs)
+    with pytest.raises(DomainError):
+        NSClass(lattice, (1, 2))
+    with pytest.raises(AttributeError):
+        nu.nu = 3
+    with pytest.raises(AttributeError):
+        del nu.nu

@@ -11,8 +11,6 @@ import pytest
 
 from thetacalc.errors import DegenerateConfigError, DomainError
 from thetacalc.power_duality import (
-    PointConfig,
-    SubsetIndex,
     det_exact,
     evaluate_sym_form,
     evaluation_covector,
@@ -38,14 +36,6 @@ MODEL6 = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 def test_subsets_colex_order():
     assert subsets_colex(4, 2) == ((1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4))
     assert subsets_colex(3, 0) == ((),)
-
-
-def test_subset_index_validation():
-    assert SubsetIndex(5, (1, 4)).complement == (2, 3, 5)
-    with pytest.raises(DomainError):
-        SubsetIndex(3, (2, 2))
-    with pytest.raises(DomainError):
-        SubsetIndex(3, (0, 1))
 
 
 def test_wedge_matrix_two_one():
@@ -276,19 +266,9 @@ def test_wedge_json_export_layout():
     json.dumps(data)
 
 
-def test_point_config_parsing():
-    config = PointConfig.from_json_dict(
-        {"model": [[0, 0], [1, 0]], "points": [["1/2", 3], [-1, "2/7"]]}
-    )
-    assert config.section_model == ((0, 0), (1, 0))
-    assert config.points == ((Fraction(1, 2), Fraction(3)), (Fraction(-1), Fraction(2, 7)))
-
-
 def test_point_parsing_errors():
     with pytest.raises(DomainError, match="zero denominator"):
         parse_point(["1/0", 2])
-    with pytest.raises(DomainError, match="zero denominator"):
-        PointConfig.from_json_dict({"model": [[0, 0]], "points": [[1, "3/0"]]})
     assert parse_model([[0, 0], [-1, 2]]) == ((0, 0), (-1, 2))
     for entry in ([1.5, 0], [0, True], ["1", 0], [0], [0, 0, 0]):
         with pytest.raises(DomainError, match="integer exponents"):
@@ -449,17 +429,61 @@ def test_wedge_matrix_matches_complement_lookup(n):
         cols = {t: j for j, t in enumerate(subsets_colex(n, n - k))}
         assert matrix.rows == subsets_colex(n, k)
         assert matrix.cols == subsets_colex(n, n - k)
-        assert matrix.row_to_col == tuple(
-            cols[SubsetIndex(n, s).complement] for s in matrix.rows
-        )
+        assert matrix.row_to_col == tuple(cols[_complement(n, s)] for s in matrix.rows)
         assert matrix.signs == tuple(_merge_sign(n, s) for s in matrix.rows)
+
+
+def _complement(n, subset):
+    return tuple(x for x in range(1, n + 1) if x not in subset)
 
 
 def _merge_sign(n, subset):
     """Sign of (subset ascending, complement ascending) by counting inversions."""
-    order = list(subset) + list(SubsetIndex(n, subset).complement)
+    order = list(subset) + list(_complement(n, subset))
     inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1 :])
     return -1 if inversions % 2 else 1
+
+
+def _shuffle_sign(subset):
+    """Sign of (subset ascending, complement ascending): sum(subset) - k(k+1)/2 inversions."""
+    k = len(subset)
+    return -1 if (sum(subset) - k * (k + 1) // 2) % 2 else 1
+
+
+def _cycle_walk_determinant(row_to_col, signs):
+    """Sign of the permutation, from its cycle lengths, times the product of the signs."""
+    sign = 1
+    seen = [False] * len(row_to_col)
+    for start in range(len(row_to_col)):
+        if seen[start]:
+            continue
+        length = 0
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            i = row_to_col[i]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    for s in signs:
+        sign *= s
+    return sign
+
+
+@pytest.mark.parametrize(
+    "n, ks",
+    [(n, range(n + 1)) for n in range(13)] + [(14, (7,)), (15, (7, 8)), (16, (8,))],
+)
+def test_wedge_matrix_matches_per_subset_reference(n, ks):
+    """The colex recurrence against the per-subset construction it replaced."""
+    for k in ks:
+        rows = subsets_colex(n, k)
+        row_to_col = tuple(range(len(rows) - 1, -1, -1))
+        signs = tuple(_shuffle_sign(s) for s in rows)
+        matrix = wedge_duality_matrix(n, k)
+        assert matrix.signs == signs
+        assert matrix.row_to_col == row_to_col
+        assert matrix.determinant() == _cycle_walk_determinant(row_to_col, signs)
 
 
 # Monomials x^i y^j by total degree; a model of size n is the first n.
