@@ -14,7 +14,6 @@ import io
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 # The other modules of the package are imported by the handlers that run
@@ -34,17 +33,11 @@ class CliConfig:
         self.precision = 30
         self.extra_presets = {}
 
-    def lattice(self):
-        from . import mukai as mk
-
-        return mk.lattice_preset(self.lattice_preset, self.extra_presets)
-
 
 class _UsageError(Exception):
     def __init__(self, parser: argparse.ArgumentParser, message: str):
         super().__init__(message)
         self.parser = parser
-        self.message = message
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,14 +46,26 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _s(value: int) -> str:
-    return str(int(value))
+    """A computed integer in decimal, in full however many digits it has.
+
+    Python's int-to-str digit limit is lifted for this conversion only, so
+    that it still refuses over-long integers in config and points files.
+    """
+    try:
+        return str(int(value))
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(int(value))
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
-def _frac(value: Fraction) -> str:
-    value = Fraction(value)
+def _frac(value) -> str:
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return _s(value.numerator)
+    return f"{_s(value.numerator)}/{_s(value.denominator)}"
 
 
 _CONFIG_TYPES = {"output_format": str, "term_budget": int, "lattice_preset": str, "precision": int}
@@ -154,7 +159,7 @@ def _cmd_verlinde(args, cfg: CliConfig) -> dict:
 def _cmd_mukai(args, cfg: CliConfig) -> dict:
     from . import mukai as mk
 
-    lattice = cfg.lattice()
+    lattice = mk.lattice_preset(cfg.lattice_preset, cfg.extra_presets)
     out = {"preset": lattice.name, "v": args.v}
     v = _parse_vector(args.v, lattice)
     op = args.mukai_op
@@ -196,24 +201,10 @@ def _cmd_mukai(args, cfg: CliConfig) -> dict:
             v_c1_effective=args.v_effective,
             w_c1_effective=args.w_effective,
         )
-        out["orthogonal"] = verdict.orthogonal
-        out["v_primitive"] = verdict.v_primitive
-        out["w_primitive"] = verdict.w_primitive
-        out["v_positive"] = verdict.v_positive
-        out["w_positive"] = verdict.w_positive
-        out["slope_condition"] = verdict.slope_condition
-        out["applicable"] = verdict.applicable
+        # The slots of ConjectureVerdict are in the order of the output keys.
+        out.update(zip(verdict.__slots__, verdict._fields()))
         out["formula"] = "strange_duality_hypotheses"
     return out
-
-
-def _check_budget(n: int, k: int, term_budget: int) -> None:
-    """Refuse an enumeration of C(n,k) terms above the budget (exit 3).
-
-    An out-of-range (n, k) is left to the domain check of the computation.
-    """
-    if 0 <= k <= n:
-        vl._check_budget(n, k, term_budget)
 
 
 def _cmd_duality(args, cfg: CliConfig) -> dict:
@@ -221,25 +212,29 @@ def _cmd_duality(args, cfg: CliConfig) -> dict:
 
     op = args.duality_op
     if op == "wedge":
-        _check_budget(args.n, args.k, cfg.term_budget)
+        vl._check_budget(args.n, args.k, cfg.term_budget)
         matrix = pdl.wedge_duality_matrix(args.n, args.k)
+        exported = matrix.to_json_dict()
         out = {
             "n": args.n,
             "k": args.k,
             "size": _s(matrix.size),
             "index_order": "colex",
             "determinant": _s(matrix.determinant()),
-            "entries": [[i, j, s] for i, j, s in zip(range(matrix.size), matrix.row_to_col, matrix.signs)],
+            "entries": exported["entries"],
         }
         if args.export:
-            Path(args.export).write_text(
-                json.dumps(matrix.to_json_dict(), separators=(",", ":")) + "\n"
-            )
+            try:
+                Path(args.export).write_text(
+                    json.dumps(exported, separators=(",", ":")) + "\n"
+                )
+            except OSError as exc:
+                raise DomainError(f"cannot write export file: {exc}")
             out["exported"] = args.export
         out["formula"] = "wedge_complement_pairing"
         return out
     if op == "sym":
-        _check_budget(args.wdim + args.n - 1, args.n, cfg.term_budget)
+        vl._check_budget(args.wdim + args.n - 1, args.n, cfg.term_budget)
         matrix = pdl.sym_duality_matrix(args.wdim, args.n)
         return {
             "w_dim": args.wdim,
@@ -264,7 +259,7 @@ def _cmd_duality(args, cfg: CliConfig) -> dict:
     rows = pdl.theta_rows(z_points, w_points, model)
     n = len(model)
     k = len(z_points)
-    _check_budget(n, k, cfg.term_budget)
+    vl._check_budget(n, k, cfg.term_budget)
     determinant = pdl.det_exact(rows)
     alpha = pdl.wedge_coefficients(rows[:k], n, k)
     beta = pdl.wedge_coefficients(rows[k:], n, n - k)
@@ -305,16 +300,15 @@ def _cmd_elliptic(args, cfg: CliConfig) -> dict:
         out["formula"] = "fiber_twist_exponent"
     elif op == "theta-class":
         theta = ek.theta_bundle_class(args.r, args.s, args.a, args.b)
-        out["nu"] = _s(ek.compute_nu(args.r, args.s, args.a, args.b).nu)
+        out["nu"] = _s(theta.nu)
         out["L"] = {"sigma": _s(theta.L.coords[0]), "fiber": _s(theta.L.coords[1])}
         out["m_exponent"] = _s(theta.m_exponent)
         out["chi_L"] = _s(theta.chi)
         out["hilb_points"] = _s(theta.hilb_points)
         out["formula"] = "theta_line_bundle_class"
     else:  # dims
-        theta = ek.theta_bundle_class(args.r, args.s, args.a, args.b)
         dims = ek.strange_duality_dims(args.r, args.s, args.a, args.b)
-        out["chi_L"] = _s(theta.chi)
+        out["chi_L"] = _s(dims.theta.chi)
         out["dim_a"] = _s(dims.dim_a)
         out["dim_b"] = _s(dims.dim_b)
         out["equal"] = dims.equal
@@ -424,7 +418,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except _UsageError as exc:
         print(exc.parser.format_usage(), end="", file=sys.stderr)
-        print(f"error: {exc.message}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 64
     try:
         cfg = _resolve_config(args)

@@ -123,9 +123,9 @@ def chi_pair(r: int, s: int, a: int, b: int) -> int:
 
 
 class ThetaClass(Frozen):
-    """Theta line bundle class on the Hilbert scheme side, as (L, M exponent)."""
+    """Theta line bundle class on the Hilbert scheme side, as (L, M exponent), and its nu."""
 
-    __slots__ = ("L", "m_exponent", "hilb_points", "chi")
+    __slots__ = ("L", "m_exponent", "hilb_points", "chi", "nu")
 
 
 def theta_bundle_class(r: int, s: int, a: int, b: int) -> ThetaClass:
@@ -139,13 +139,13 @@ def theta_bundle_class(r: int, s: int, a: int, b: int) -> ThetaClass:
     chi_L = L.self_intersection // 2 + 2
     if chi_L != a + b:
         raise AssertionError(f"chi(L) = {chi_L} differs from a+b = {a + b}")
-    return ThetaClass(L=L, m_exponent=1, hilb_points=a, chi=chi_L)
+    return ThetaClass(L=L, m_exponent=1, hilb_points=a, chi=chi_L, nu=nu)
 
 
 class DualityDims(Frozen):
-    """Dimensions of the dual spaces of theta sections plus hypothesis flags."""
+    """Dimensions of the dual spaces of theta sections, hypothesis flags and the theta class."""
 
-    __slots__ = ("dim_a", "dim_b", "equal", "corollary_applies")
+    __slots__ = ("dim_a", "dim_b", "equal", "corollary_applies", "theta")
 
 
 def strange_duality_dims(r: int, s: int, a: int, b: int) -> DualityDims:
@@ -154,22 +154,20 @@ def strange_duality_dims(r: int, s: int, a: int, b: int) -> DualityDims:
     Requires nu < -1 so that L has no higher cohomology; raises
     NuTooWeakError otherwise.  ``corollary_applies`` records the
     rank-at-least-two and self-pairing-sum hypotheses of the duality
-    statement for pairs of normalized vectors.
+    statement for pairs of normalized vectors; nu < -1 is then already known.
     """
     theta = theta_bundle_class(r, s, a, b)
-    nu = compute_nu(r, s, a, b).nu
-    if nu >= -1:
-        raise NuTooWeakError(nu)
+    if theta.nu >= -1:
+        raise NuTooWeakError(theta.nu)
     dim_a = math.comb(theta.chi, a)
     dim_b = math.comb(theta.chi, b)
     applies = (
         r >= 2
         and s >= 2
         and (2 * a - 2) + (2 * b - 2) >= 2 * (r + s) ** 2
-        and nu < -1
     )
     return DualityDims(
-        dim_a=dim_a, dim_b=dim_b, equal=dim_a == dim_b, corollary_applies=applies
+        dim_a=dim_a, dim_b=dim_b, equal=dim_a == dim_b, corollary_applies=applies, theta=theta
     )
 
 
@@ -186,15 +184,14 @@ class EllipticPair(Frozen):
 
     @classmethod
     def build(cls, r: int, s: int, a: int, b: int) -> "EllipticPair":
-        theta = theta_bundle_class(r, s, a, b)
         dims = strange_duality_dims(r, s, a, b)
-        nu = compute_nu(r, s, a, b).nu
+        theta = dims.theta
         return cls(
             r=r,
             s=s,
             a=a,
             b=b,
-            nu=nu,
+            nu=theta.nu,
             L=theta.L,
             chi_L=theta.chi,
             predicted_dims=(dims.dim_a, dims.dim_b),

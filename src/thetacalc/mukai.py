@@ -67,9 +67,6 @@ class NSLattice(Frozen):
     def cls(self, *coords: int) -> "NSClass":
         return NSClass(self, tuple(coords))
 
-    def zero_class(self) -> "NSClass":
-        return NSClass(self, (0,) * self.rank)
-
 
 def lattice_preset(name: str, extra: dict[str, NSLattice] | None = None) -> NSLattice:
     if extra and name in extra:
@@ -145,10 +142,6 @@ class NSClass(Frozen):
 
     __rmul__ = __mul__
 
-    @property
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coords)
-
 
 class MukaiVector(Frozen):
     """Triple (rank, c1, point coefficient) in the even cohomology of a surface."""
@@ -190,12 +183,6 @@ def dv(v: MukaiVector) -> int:
     if s % 2 != 0:
         raise DomainError(f"parity: <v,v> = {s} is odd (lattice is not even?)")
     return s // 2 + 1
-
-
-def _binom(n: int, k: int) -> int:
-    if k < 0 or k > n or n < 0:
-        return 0
-    return math.comb(n, k)
 
 
 def chi_k3(v: MukaiVector, w: MukaiVector) -> int:
@@ -252,7 +239,9 @@ def chi_abelian(v: MukaiVector, w: MukaiVector, variant: str) -> int:
     a, b = dv(v), dv(w)
     if a + b < 3:
         raise DomainError(f"dv + dw must be >= 3, got {a + b}")
-    binom = _binom(a + b - 2, a - 1)
+    if a < 1:
+        return 0  # C(a+b-2, a-1) vanishes; math.comb refuses a negative lower index
+    binom = math.comb(a + b - 2, a - 1)
     if variant == "albanese_plus":
         value = Fraction(c1_tensor(v, w).self_intersection * binom, 2 * (a + b - 2))
     else:

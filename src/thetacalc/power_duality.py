@@ -106,7 +106,6 @@ class WedgeMatrix(Frozen):
         }
 
 
-@lru_cache(maxsize=2)
 def wedge_duality_matrix(n: int, k: int) -> WedgeMatrix:
     """Matrix of e_S (x) e_T -> coefficient of e_{1..n} in e_S ^ e_T.
 
@@ -141,26 +140,20 @@ def wedge_duality_matrix(n: int, k: int) -> WedgeMatrix:
 def pair_wedge(n: int, k: int, alpha, beta) -> Fraction:
     """Coefficient of e_{1..n} in alpha ^ beta for coefficient vectors in colex order."""
     signs = wedge_duality_matrix(n, k).signs
-    size = math.comb(n, k)  # = C(n, n-k), the length of beta as well
+    size = len(signs)  # = C(n, k) = C(n, n-k), the length of beta as well
     if len(alpha) != size or len(beta) != size:
         raise DomainError(f"expected coefficient vectors of lengths {size} and {size}")
     total = Fraction(0)
     for a, s, b in zip(alpha, signs, reversed(beta)):
         if a:
             total += a * s * b
-    return Fraction(total)
+    return total
 
 
 def evaluation_covector(point, model) -> tuple[Rat, ...]:
     """Values of the model monomials x^ex * y^ey at a point (x, y)."""
     x, y = point
-    return tuple(_monomial(x, ex) * _monomial(y, ey) for ex, ey in model)
-
-
-def _monomial(base: Rat, exponent: int) -> Rat:
-    if exponent == 0:
-        return 1
-    return base**exponent
+    return tuple(x**ex * y**ey for ex, ey in model)
 
 
 def evaluation_matrix(points, model) -> list[list[Rat]]:

@@ -101,9 +101,11 @@ def _distance_exponent_groups(n: int, k: int) -> tuple[tuple[tuple[int, ...], in
 
 
 def _check_budget(n: int, k: int, term_budget: int) -> None:
-    terms = math.comb(n, k)
-    if terms > term_budget:
-        raise TermBudgetError(n, k, terms, term_budget)
+    """Refuse C(n, k) terms above the budget; an out-of-range (n, k) is left to the domain check."""
+    if 0 <= k <= n:
+        terms = math.comb(n, k)
+        if terms > term_budget:
+            raise TermBudgetError(n, k, terms, term_budget)
 
 
 def _integral(value: Fraction) -> int:

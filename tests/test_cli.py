@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from thetacalc.cli import main
+from thetacalc.verlinde import VerlindeQuery, verlinde_number
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -54,6 +56,50 @@ def test_big_integers_are_strings(capsys):
     assert code == 0
     assert payload["value"] == "243"
     assert isinstance(payload["value"], str)
+
+
+@pytest.mark.parametrize(
+    "argv, key, expected",
+    [
+        (
+            ["verlinde", "2", "3", "20000"],
+            "value",
+            lambda: verlinde_number(VerlindeQuery(2, 3, 20000)),
+        ),
+        (
+            ["elliptic", "dims", "2", "3", "10002", "10000"],
+            "dim_a",
+            lambda: math.comb(20002, 10002),
+        ),
+    ],
+    ids=["verlinde", "elliptic-dims"],
+)
+def test_large_results_printed_in_full(capsys, argv, key, expected):
+    # both results have more digits than Python's default int-to-str limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = _run(capsys, *argv)
+    assert code == 0 and err == ""
+    digits = json.loads(out)[key]
+    assert len(digits) > 4300
+    if limit:
+        assert sys.get_int_max_str_digits() == limit  # lifted only while printing
+        sys.set_int_max_str_digits(0)
+    try:
+        assert digits == str(expected())
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_large_rational_results_printed_in_full(capsys, tmp_path):
+    # det [[1, x^5], [1, 1]] = 1 - x^5 is 5000 nines, negated, for x = 10^1000
+    x = 10**1000
+    points = tmp_path / "points.json"
+    points.write_text(json.dumps({"model": [[0, 0], [5, 0]], "Z": [[f"{x}/1", 0]], "W": [[1, 0]]}))
+    code, out, err = _run(capsys, "duality", "theta-vanishes", "--points", str(points))
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["determinant"] == payload["pairing"] == "-" + "9" * 5000
 
 
 def test_output_is_deterministic(capsys):
@@ -141,6 +187,13 @@ def test_duality_wedge_with_export(capsys, tmp_path):
         "entries": [[0, 2, 1], [1, 1, -1], [2, 0, 1]],
     }
     _check_golden("duality_wedge_export.json", target.read_text())
+
+
+def test_duality_wedge_export_to_unwritable_path(capsys, tmp_path):
+    target = tmp_path / "missing" / "m.json"
+    code, out, err = _run(capsys, "duality", "wedge", "3", "1", "--export", str(target))
+    assert code == 2 and out == ""
+    assert "cannot write export file" in err and not target.exists()
 
 
 def test_duality_sym(capsys):
@@ -267,9 +320,13 @@ def test_duality_term_budget_refusals(capsys, tmp_path):
     code, out, err = _run(capsys, "--term-budget", "5", "duality", "theta-vanishes", "--points", str(points))
     assert code == 3 and out == ""
     assert "term budget exceeded: C(4,2) = 6 > 5" in err
-    # out-of-range sizes are domain errors, not refusals
+    # out-of-range sizes are domain errors, not refusals, whatever the budget
     code, _, _ = _run(capsys, "--term-budget", "5", "duality", "wedge", "3", "-1")
     assert code == 2
+    code, _, err = _run(capsys, "--term-budget", "-1", "duality", "wedge", "3", "4")
+    assert code == 2 and "need 0 <= k <= n" in err
+    code, _, _ = _run(capsys, "--term-budget", "-1", "duality", "wedge", "3", "1")
+    assert code == 3
 
 
 def test_elliptic_normalize(capsys):
@@ -318,6 +375,17 @@ def test_domain_error_exit_code(capsys):
     assert code == 2 and "rank" in err
     code, _, err = _run(capsys, "elliptic", "dims", "2", "2", "5", "5")
     assert code == 2 and "nu too weak" in err
+
+
+def test_mukai_chi_abelian_zero_dv(capsys):
+    # dv(v) = 0, so the binomial C(dv+dw-2, dv-1) has lower index -1 and is 0
+    code, out, err = _run(
+        capsys,
+        "--lattice", "abelian_pp",
+        "mukai", "chi-abelian", "--v", "1:0:1", "--w", "1:3:1", "--variant", "s4",
+    )
+    assert code == 0 and err == ""
+    assert json.loads(out)["value"] == "0"
 
 
 def test_not_integral_exit_code(capsys):

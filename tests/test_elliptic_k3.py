@@ -4,6 +4,8 @@ import math
 
 import pytest
 
+from thetacalc import elliptic_k3 as ek
+from thetacalc.cli import main
 from thetacalc.elliptic_k3 import (
     EllipticPair,
     chi_of_vector,
@@ -105,6 +107,7 @@ def test_theta_class_frozen_case():
     assert theta.chi == 27
     assert theta.m_exponent == 1
     assert theta.hilb_points == 12
+    assert theta.nu == compute_nu(2, 3, 12, 15).nu == -2
 
 
 def test_theta_class_second_case():
@@ -127,6 +130,7 @@ def test_dims_frozen_case():
     assert dims.dim_a == dims.dim_b == math.comb(27, 12) == 17383860
     assert dims.equal
     assert dims.corollary_applies  # boundary: <v,v> + <w,w> = 50 = 2*(r+s)^2
+    assert dims.theta == theta_bundle_class(2, 3, 12, 15)
 
 
 def test_dims_weak_nu_rejected():
@@ -196,3 +200,27 @@ def test_elliptic_pair_builder():
     assert pair.predicted_dims == (17383860, 17383860)
     with pytest.raises(DivisibilityError):
         EllipticPair.build(2, 2, 10, 10)
+
+
+def _count_calls(monkeypatch):
+    calls = {"compute_nu": 0, "theta_bundle_class": 0}
+    for name in calls:
+        original = getattr(ek, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(ek, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("query", ["theta-class", "dims", "build"])
+def test_each_quantity_computed_once(monkeypatch, capsys, query):
+    calls = _count_calls(monkeypatch)
+    if query == "build":
+        EllipticPair.build(2, 3, 12, 15)
+    else:
+        assert main(["elliptic", query, "2", "3", "12", "15"]) == 0
+        capsys.readouterr()
+    assert calls == {"compute_nu": 1, "theta_bundle_class": 1}

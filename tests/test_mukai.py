@@ -162,6 +162,17 @@ def test_chi_abelian_small_dimension_rejected():
         chi_abelian(d1, d1, "bogus_variant")
 
 
+def test_chi_abelian_vanishes_when_a_dv_is_zero():
+    # C(dv+dw-2, dv-1) is 0 when dv = 0 (negative lower index) or dw = 0
+    # (lower index above the upper), so every variant gives 0 there.
+    zero = _vec(AB, 1, (0,), 1)
+    nine = _vec(AB, 1, (3,), 1)
+    assert (dv(zero), dv(nine)) == (0, 9)
+    for variant in ("albanese_plus", "kummer", "s2", "s4"):
+        assert chi_abelian(zero, nine, variant) == 0
+        assert chi_abelian(nine, zero, variant) == 0
+
+
 def test_albanese_minus_equals_albanese_plus_on_transforms():
     rng = random.Random(5)
     for _ in range(100):
