@@ -20,6 +20,7 @@ from pathlib import Path
 # them, so that a query loads only what its subcommand needs.
 from . import verlinde as vl
 from .errors import ArithmeticBugError, DomainError, TermBudgetError
+from .errors import decimal_str as _s
 
 ENV_TERM_BUDGET = "THETACALC_TERM_BUDGET"
 FORMATS = ("json", "markdown", "csv")
@@ -43,23 +44,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(self, message)
-
-
-def _s(value: int) -> str:
-    """A computed integer in decimal, in full however many digits it has.
-
-    Python's int-to-str digit limit is lifted for this conversion only, so
-    that it still refuses over-long integers in config and points files.
-    """
-    try:
-        return str(int(value))
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            return str(int(value))
-        finally:
-            sys.set_int_max_str_digits(limit)
 
 
 def _frac(value) -> str:

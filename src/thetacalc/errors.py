@@ -8,6 +8,25 @@ can only mean an arithmetic bug (``ArithmeticBugError``, exit 1).
 
 from __future__ import annotations
 
+import sys
+
+
+def decimal_str(value: int) -> str:
+    """An integer in decimal, in full however many digits it has.
+
+    Python's int-to-str digit limit is lifted for this conversion only, so
+    that it still refuses over-long integers in config and points files.
+    """
+    try:
+        return str(int(value))
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(int(value))
+        finally:
+            sys.set_int_max_str_digits(limit)
+
 
 class ThetaCalcError(Exception):
     """Base class for all errors raised by this package."""
@@ -45,7 +64,7 @@ class TermBudgetError(ThetaCalcError):
     def __init__(self, n: int, k: int, terms: int, budget: int):
         self.terms = terms
         self.budget = budget
-        super().__init__(f"term budget exceeded: C({n},{k}) = {terms} > {budget}")
+        super().__init__(f"term budget exceeded: C({n},{k}) = {decimal_str(terms)} > {budget}")
 
 
 class ArithmeticBugError(ThetaCalcError):

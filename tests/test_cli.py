@@ -405,6 +405,23 @@ def test_term_budget_exit_code(capsys, monkeypatch):
     assert "term budget exceeded: C(6,3) = 20 > 5" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [("verlinde", "10000", "10000", "2"), ("duality", "wedge", "20000", "10000")]
+)
+def test_term_budget_refusal_of_over_long_count(capsys, argv):
+    # C(20000, 10000) has 6,019 digits, more than Python's default int-to-str limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = _run(capsys, *argv)
+    assert code == 3 and out == ""
+    prefix, _, rest = err.partition("C(20000,10000) = ")
+    count, _, suffix = rest.partition(" > ")
+    assert prefix == "error: term budget exceeded: " and suffix == "200000\n"
+    assert len(count) == 6019 and count.startswith("224560266274634554155")
+    assert int(count[-9:]) == math.comb(20000, 10000) % 10**9
+    if limit:
+        assert sys.get_int_max_str_digits() == limit
+
+
 def test_term_budget_flag_overrides_env(capsys, monkeypatch):
     monkeypatch.setenv("THETACALC_TERM_BUDGET", "5")
     code, out, _ = _run(capsys, "--term-budget", "100", "verlinde", "3", "3", "2")

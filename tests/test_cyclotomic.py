@@ -1,15 +1,20 @@
 from __future__ import annotations
 
 import math
+import pickle
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from thetacalc.cyclotomic import (
     CycloElement,
+    RealCycloElement,
     cyclotomic_polynomial,
     field_degree,
+    four_sin_squared,
+    real_cyclotomic_polynomial,
     root_of_unity,
     to_rational,
     two_sin,
@@ -160,3 +165,99 @@ def test_scalar_arithmetic():
     assert to_rational(x * Fraction(1, 2) * x) == 1
     assert to_rational(3 * (x * x) - 4) == 2
     assert math.prod([x, x], start=CycloElement.one(16)) == x * x
+
+
+def _theta(n: int):
+    return 2 * mpmath.cos(2 * mpmath.pi / n)
+
+
+def _value_at_theta(element: RealCycloElement):
+    theta = _theta(element.order)
+    return sum(c * theta**j for j, c in enumerate(element.coeffs))
+
+
+@pytest.mark.parametrize("n", range(2, 61))
+def test_real_cyclotomic_polynomial_is_monic_integral_of_half_degree(n):
+    psi = real_cyclotomic_polynomial(n)
+    assert psi[-1] == 1 and all(isinstance(c, int) for c in psi)
+    assert len(psi) - 1 == (1 if n == 2 else field_degree(n) // 2)
+    with mpmath.workdps(50):
+        value = sum(c * _theta(n) ** j for j, c in enumerate(psi))
+        assert abs(value) < mpmath.mpf(10) ** -40
+
+
+def test_real_cyclotomic_polynomials_small():
+    assert real_cyclotomic_polynomial(2) == (2, 1)  # theta = -2
+    assert real_cyclotomic_polynomial(3) == (1, 1)  # theta = -1
+    assert real_cyclotomic_polynomial(4) == (0, 1)  # theta = 0
+    assert real_cyclotomic_polynomial(5) == (-1, 1, 1)  # theta = (sqrt(5) - 1) / 2
+    assert real_cyclotomic_polynomial(6) == (-1, 1)  # theta = 1
+    with pytest.raises(DomainError):
+        real_cyclotomic_polynomial(1)
+
+
+@pytest.mark.parametrize("n", range(2, 31))
+def test_four_sin_squared_product_is_n_squared(n):
+    # prod_{d=1..n-1} 2*sin(pi*d/n) = n; the factors above n/2 by symmetry
+    product = RealCycloElement.one(n)
+    for d in range(1, n):
+        product = product * four_sin_squared(n, min(d, n - d))
+    assert product.coeffs == (n * n,) + (0,) * (len(product.coeffs) - 1)
+    assert to_rational(product) == n * n
+
+
+@pytest.mark.parametrize("n", range(2, 25))
+def test_four_sin_squared_values(n):
+    with mpmath.workdps(40):
+        for d in range(1, n):
+            element = four_sin_squared(n, d)
+            assert element == four_sin_squared(n, n - d)
+            expected = 4 * mpmath.sinpi(mpmath.mpf(d) / n) ** 2
+            assert abs(_value_at_theta(element) - expected) < mpmath.mpf(10) ** -30
+    with pytest.raises(DomainError):
+        four_sin_squared(n, n)
+
+
+def test_theta_is_not_rational():
+    theta = RealCycloElement.from_polynomial(5, [0, 1])
+    assert not theta.is_rational
+    with pytest.raises(NotRationalError) as info:
+        to_rational(theta)
+    assert (info.value.order, info.value.index) == (5, 1)
+    # theta^2 + theta - 1 = 0 at n = 5
+    assert to_rational(theta * theta + theta) == 1
+
+
+def test_real_elements_are_records_of_their_own_class():
+    theta = RealCycloElement(5, (0, 1))
+    assert theta != RealCycloElement(5, (1, 0))
+    assert theta != CycloElement(5, (0, 1, 0, 0))
+    assert hash(theta) == hash(RealCycloElement(5, (0, 1)))
+    assert repr(theta) == "RealCycloElement(order=5, coeffs=(0, 1))"
+    assert pickle.loads(pickle.dumps(theta)) == theta
+    assert type(theta**3) is type(theta * 2) is type(1 - theta) is RealCycloElement
+    with pytest.raises(DomainError):
+        RealCycloElement(5, (0, 1, 0, 0))
+
+
+def test_real_and_full_elements_do_not_mix():
+    theta = RealCycloElement(5, (0, 1))
+    zeta = root_of_unity(5, 1)
+    with pytest.raises(DomainError):
+        theta + zeta
+    with pytest.raises(DomainError):
+        zeta * theta
+    with pytest.raises(DomainError):
+        theta * RealCycloElement(7, (0, 1, 0))
+
+
+def test_power_by_squaring_edge_exponents():
+    theta = RealCycloElement(7, (0, 1, 0))
+    assert theta**0 == RealCycloElement.one(7)
+    assert theta**1 == theta
+    by_hand = RealCycloElement.one(7)
+    for e in range(12):
+        assert theta**e == by_hand
+        by_hand = by_hand * theta
+    with pytest.raises(DomainError):
+        theta**-1
