@@ -9,15 +9,16 @@ stay plain numbers.  Exit codes: 0 success, 1 internal exactness failure,
 
 from __future__ import annotations
 
-import argparse
 import io
 import json
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 # The other modules of the package are imported by the handlers that run
-# them, so that a query loads only what its subcommand needs.
+# them, and argparse only for help and usage errors, so that a query loads
+# only what its subcommand needs.
 from . import verlinde as vl
 from .errors import ArithmeticBugError, DomainError, TermBudgetError
 from .errors import decimal_str as _s
@@ -36,14 +37,9 @@ class CliConfig:
 
 
 class _UsageError(Exception):
-    def __init__(self, parser: argparse.ArgumentParser, message: str):
+    def __init__(self, parser, message: str):
         super().__init__(message)
         self.parser = parser
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(self, message)
 
 
 def _frac(value) -> str:
@@ -301,78 +297,183 @@ def _cmd_elliptic(args, cfg: CliConfig) -> dict:
     return out
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="thetacalc", description=__doc__)
-    parser.add_argument("--format", choices=FORMATS, help="output format (default json)")
-    parser.add_argument("--config", help="path to a JSON config file")
-    parser.add_argument(
-        "--term-budget",
-        type=int,
-        help="maximum term count of an enumeration: C(r+k,k) subsets for verlinde, "
+# The command grammar, read by both parsers.  Each option maps its flag to
+# its add_argument keywords; every switch is _SWITCH itself.  Each op of a
+# command lists its int positionals and its options; a command without ops
+# has the one op None.
+_SWITCH = {"action": "store_true"}
+_VECTOR = {"required": True, "help": "vector as rank:c1,c2:point"}
+_RSAB = (("r", "s", "a", "b"), {})
+GLOBAL_OPTIONS = {
+    "--format": {"choices": FORMATS, "help": "output format (default json)"},
+    "--config": {"help": "path to a JSON config file"},
+    "--term-budget": {
+        "type": int,
+        "help": "maximum term count of an enumeration: C(r+k,k) subsets for verlinde, "
         "C(n,k) for duality wedge and theta-vanishes, C(w+n-1,n) monomials for duality sym",
-    )
-    parser.add_argument("--lattice", help="lattice preset name (default k3_elliptic)")
-    parser.add_argument("--precision", type=int, help="decimal digits for the float oracle")
+    },
+    "--lattice": {"help": "lattice preset name (default k3_elliptic)"},
+    "--precision": {"type": int, "help": "decimal digits for the float oracle"},
+}
+COMMANDS = {
+    "verlinde": (
+        "rank-level theta section counts",
+        _cmd_verlinde,
+        {None: (("r", "k", "g"), dict.fromkeys(("--modified", "--check-symmetry", "--float-oracle"), _SWITCH))},
+    ),
+    "mukai": (
+        "Mukai vector pairings and Euler characteristics",
+        _cmd_mukai,
+        {
+            "pair": ((), {"--v": _VECTOR, "--w": _VECTOR}),
+            "chi-k3": ((), {"--v": _VECTOR, "--w": _VECTOR}),
+            "chi-abelian": (
+                (),
+                {
+                    "--v": _VECTOR,
+                    "--w": _VECTOR,
+                    "--variant": {
+                        "choices": ("s2", "s3", "s4", "albanese_plus", "albanese_minus", "kummer"),
+                        "default": "s2",
+                    },
+                },
+            ),
+            "fm": ((), {"--v": _VECTOR}),
+            "conjecture": (
+                (),
+                {
+                    "--v": _VECTOR,
+                    "--w": _VECTOR,
+                    "--H": {"required": True, "help": "polarization class as c1,c2"},
+                    "--v-effective": _SWITCH,
+                    "--w-effective": _SWITCH,
+                },
+            ),
+        },
+    ),
+    "duality": (
+        "exterior/symmetric power pairing matrices",
+        _cmd_duality,
+        {
+            "wedge": (("n", "k"), {"--export": {"help": "write the sparse matrix to this JSON file"}}),
+            "sym": (("wdim", "n"), {}),
+            "theta-vanishes": ((), {"--points": {"required": True, "help": "JSON file {model, Z, W}"}}),
+        },
+    ),
+    "elliptic": (
+        "elliptic-surface theta bookkeeping",
+        _cmd_elliptic,
+        {"normalize": (("r", "k", "p"), {}), "nu": _RSAB, "theta-class": _RSAB, "dims": _RSAB},
+    ),
+}
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _is_negative_int(token: str) -> bool:
+    return token[:1] == "-" and token[1:].isdigit() and token.isascii()
+
+
+def _scan(tokens, options: dict, args: dict, *, stop: bool = False) -> list[str] | None:
+    """Set ``args`` from the option tokens of ``tokens``; return the positional tokens.
+
+    Each option must be spelled in full, a value given as the next token or
+    after ``=``.  A value or positional that starts with ``-`` must be a
+    negative integer.  Returns None for any other token.  With ``stop``,
+    returns at the first positional.
+    """
+    for flag, spec in options.items():
+        args[_dest(flag)] = False if spec is _SWITCH else spec.get("default")
+    positionals = []
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        spec = options.get(flag)
+        if spec is _SWITCH:
+            if eq:
+                return None
+            args[_dest(flag)] = True
+        elif spec is not None:
+            if not eq:
+                value = next(tokens, None)
+                if value is None:
+                    return None
+            if value[:1] == "-" and not _is_negative_int(value):
+                return None
+            try:
+                value = spec.get("type", str)(value)
+            except ValueError:
+                return None
+            if "choices" in spec and value not in spec["choices"]:
+                return None
+            args[_dest(flag)] = value
+        elif token[:1] == "-" and not _is_negative_int(token):
+            return None
+        else:
+            positionals.append(token)
+            if stop:
+                break
+    return positionals
+
+
+def _fast_parse(argv) -> dict | None:
+    """``vars()`` of argparse's namespace for a command line that matches the grammar exactly.
+
+    Global options precede the command.  Anything else, such as ``--help``,
+    an abbreviated option, ``--`` or any usage error, gives None, so that
+    argparse parses it and prints its own help or error.
+    """
+    tokens = iter(argv)
+    args: dict = {}
+    found = _scan(tokens, GLOBAL_OPTIONS, args, stop=True)
+    if not found or found[0] not in COMMANDS:
+        return None
+    args["command"] = command = found[0]
+    _, handler, ops = COMMANDS[command]
+    op = None
+    if None not in ops:
+        op = next(tokens, None)
+        if op not in ops:
+            return None
+        args[f"{command}_op"] = op
+    names, options = ops[op]
+    positionals = _scan(tokens, options, args)
+    if positionals is None or len(positionals) != len(names):
+        return None
+    if any(spec.get("required") and args[_dest(flag)] is None for flag, spec in options.items()):
+        return None
+    try:
+        args.update(zip(names, map(int, positionals)))
+    except ValueError:
+        return None
+    args["handler"] = handler
+    return args
+
+
+def _build_parser():
+    """The argparse parser of the same grammar, for help text and usage errors."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise _UsageError(self, message)
+
+    parser = _Parser(prog="thetacalc", description=__doc__)
+    for flag, spec in GLOBAL_OPTIONS.items():
+        parser.add_argument(flag, **spec)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verlinde", help="rank-level theta section counts")
-    p.add_argument("r", type=int)
-    p.add_argument("k", type=int)
-    p.add_argument("g", type=int)
-    p.add_argument("--modified", action="store_true")
-    p.add_argument("--check-symmetry", action="store_true")
-    p.add_argument("--float-oracle", action="store_true")
-    p.set_defaults(handler=_cmd_verlinde)
-
-    p = sub.add_parser("mukai", help="Mukai vector pairings and Euler characteristics")
-    msub = p.add_subparsers(dest="mukai_op", required=True)
-    for name in ("pair", "chi-k3", "chi-abelian", "fm", "conjecture"):
-        mp = msub.add_parser(name)
-        mp.add_argument("--v", required=True, help="vector as rank:c1,c2:point")
-        if name != "fm":
-            mp.add_argument("--w", required=True, help="vector as rank:c1,c2:point")
-        if name == "chi-abelian":
-            mp.add_argument(
-                "--variant",
-                choices=("s2", "s3", "s4", "albanese_plus", "albanese_minus", "kummer"),
-                default="s2",
-            )
-        if name == "conjecture":
-            mp.add_argument("--H", required=True, help="polarization class as c1,c2")
-            mp.add_argument("--v-effective", action="store_true")
-            mp.add_argument("--w-effective", action="store_true")
-        mp.set_defaults(handler=_cmd_mukai)
-
-    p = sub.add_parser("duality", help="exterior/symmetric power pairing matrices")
-    dsub = p.add_subparsers(dest="duality_op", required=True)
-    dp = dsub.add_parser("wedge")
-    dp.add_argument("n", type=int)
-    dp.add_argument("k", type=int)
-    dp.add_argument("--export", help="write the sparse matrix to this JSON file")
-    dp.set_defaults(handler=_cmd_duality)
-    dp = dsub.add_parser("sym")
-    dp.add_argument("wdim", type=int)
-    dp.add_argument("n", type=int)
-    dp.set_defaults(handler=_cmd_duality)
-    dp = dsub.add_parser("theta-vanishes")
-    dp.add_argument("--points", required=True, help="JSON file {model, Z, W}")
-    dp.set_defaults(handler=_cmd_duality)
-
-    p = sub.add_parser("elliptic", help="elliptic-surface theta bookkeeping")
-    esub = p.add_subparsers(dest="elliptic_op", required=True)
-    ep = esub.add_parser("normalize")
-    ep.add_argument("r", type=int)
-    ep.add_argument("k", type=int)
-    ep.add_argument("p", type=int)
-    ep.set_defaults(handler=_cmd_elliptic)
-    for name in ("nu", "theta-class", "dims"):
-        ep = esub.add_parser(name)
-        ep.add_argument("r", type=int)
-        ep.add_argument("s", type=int)
-        ep.add_argument("a", type=int)
-        ep.add_argument("b", type=int)
-        ep.set_defaults(handler=_cmd_elliptic)
-
+    for command, (text, handler, ops) in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        if None not in ops:
+            opsub = p.add_subparsers(dest=f"{command}_op", required=True)
+        for op, (names, options) in ops.items():
+            leaf = p if op is None else opsub.add_parser(op)
+            for name in names:
+                leaf.add_argument(name, type=int)
+            for flag, spec in options.items():
+                leaf.add_argument(flag, **spec)
+            leaf.set_defaults(handler=handler)
     return parser
 
 
@@ -397,13 +498,17 @@ def _render(out: dict, fmt: str) -> str:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(exc.parser.format_usage(), end="", file=sys.stderr)
-        print(f"error: {exc}", file=sys.stderr)
-        return 64
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _fast_parse(argv)
+    if args is None:
+        try:
+            args = vars(_build_parser().parse_args(argv))
+        except _UsageError as exc:
+            print(exc.parser.format_usage(), end="", file=sys.stderr)
+            print(f"error: {exc}", file=sys.stderr)
+            return 64
+    args = SimpleNamespace(**args)
     try:
         cfg = _resolve_config(args)
         out = args.handler(args, cfg)

@@ -14,7 +14,8 @@ monic integer polynomial that its class supplies:
 Both share one multiply, reduce and power routine.  Coordinates are exact
 rationals; integer coordinates are kept as Python ints, which is what
 every root of unity and every sine value produces, so the hot
-multiplication path never touches Fraction.
+multiplication path never touches Fraction, and this module does not
+import it.
 
 The Verlinde sum needs the real quantities 4*sin^2(pi*d/n), which lie in
 the real subfield: with D_d the Dickson polynomials (D_0 = 2, D_1 = x,
@@ -32,13 +33,11 @@ which is totally real and positive for 1 <= d <= n-1.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from numbers import Rational
 
 from ._frozen import Frozen
 from .errors import DomainError, NotRationalError
-
-Rational = int | Fraction
 
 
 def _divexact(num: list[int], den: tuple[int, ...]) -> list[int]:
@@ -181,7 +180,7 @@ class CycloElement(Frozen):
             )
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Rational):
             other = self.from_rational(self.order, other)
         if not isinstance(other, CycloElement):
             return NotImplemented
@@ -196,7 +195,7 @@ class CycloElement(Frozen):
         return type(self)(self.order, tuple(-a for a in self.coeffs))
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Rational):
             other = self.from_rational(self.order, other)
         if not isinstance(other, CycloElement):
             return NotImplemented
@@ -207,7 +206,7 @@ class CycloElement(Frozen):
 
     def __mul__(self, other):
         if not isinstance(other, CycloElement):
-            if isinstance(other, (int, Fraction)):
+            if isinstance(other, Rational):
                 return type(self)(self.order, tuple(a * other for a in self.coeffs))
             return NotImplemented
         self._check_order(other)
@@ -283,8 +282,10 @@ def four_sin_squared(n: int, d: int) -> RealCycloElement:
     return RealCycloElement.from_polynomial(n, poly)
 
 
-def to_rational(x: CycloElement) -> Fraction:
+def to_rational(x: CycloElement) -> Rational:
     """Constant coefficient of an element all of whose other coefficients vanish.
+
+    The coefficient is returned as it is stored: an int stays an int.
 
     Raises NotRationalError carrying the largest offending index otherwise;
     such a failure in a sum that must be rational is an implementation bug.
@@ -292,4 +293,4 @@ def to_rational(x: CycloElement) -> Fraction:
     for i in range(len(x.coeffs) - 1, 0, -1):
         if x.coeffs[i] != 0:
             raise NotRationalError(x.order, i)
-    return Fraction(x.coeffs[0])
+    return x.coeffs[0]

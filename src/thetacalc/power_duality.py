@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 
 from ._frozen import Frozen
@@ -32,9 +31,6 @@ from .errors import ArithmeticBugError, DegenerateConfigError, DomainError
 Rat = int | Fraction
 
 
-# A theta query asks for the k-subsets for the wedge of Z and the
-# (n-k)-subsets for the wedge of W; when k = n-k that is one list twice.
-@lru_cache(maxsize=2)
 def subsets_colex(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """All k-subsets of {1..n} in colexicographic order.
 
@@ -45,6 +41,25 @@ def subsets_colex(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     if not 0 <= k <= n:
         raise DomainError(f"need 0 <= k <= n, got k={k}, n={n}")
     return tuple(s[::-1] for s in reversed(list(combinations(range(n, 0, -1), k))))
+
+
+def _colex_masks(n: int, k: int):
+    """The k-subsets of {1..n} as bitmasks (bit j-1 for member j), in colex order.
+
+    Colex order is the numeric order of the masks.  Gosper's step gives the
+    next larger mask with k bits: add the lowest set bit, which clears the
+    lowest run of ones and sets the bit above it, then put back the rest of
+    that run at the bottom.
+    """
+    if k == 0:
+        yield 0
+        return
+    mask, end = (1 << k) - 1, 1 << n
+    while mask < end:
+        yield mask
+        low = mask & -mask
+        ripple = mask + low
+        mask = ripple | (((mask ^ ripple) >> 2) // low)
 
 
 class WedgeMatrix(Frozen):
@@ -266,12 +281,13 @@ def wedge_coefficients(vectors, n: int, k: int) -> tuple[Fraction, ...]:
     """
     if len(vectors) != k:
         raise DomainError(f"expected {k} covectors, got {len(vectors)}")
-    subsets = subsets_colex(n, k)
+    if k > n:
+        raise DomainError(f"need 0 <= k <= n, got k={k}, n={n}")
     if any(len(vec) != n for vec in vectors):
         raise DomainError(f"covectors must have length {n}")
     reduced, factor = _reduced_rows(vectors)
     if not factor:
-        return (Fraction(0),) * len(subsets)
+        return (Fraction(0),) * math.comb(n, k)
     int_rows, scale = _integer_rows(reduced)
     factor /= scale
     wedge = {0: 1}
@@ -288,8 +304,7 @@ def wedge_coefficients(vectors, n: int, k: int) -> tuple[Fraction, ...]:
                 key = mask | bit
                 step[key] = step.get(key, 0) + term
         wedge = step
-    masks = (sum(1 << (j - 1) for j in s) for s in subsets)
-    return tuple(wedge.get(mask, 0) * factor for mask in masks)
+    return tuple(wedge.get(mask, 0) * factor for mask in _colex_masks(n, k))
 
 
 def parse_model(data) -> tuple[tuple[int, int], ...]:

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from fractions import Fraction
 from itertools import combinations
 
 from ._frozen import Frozen
@@ -115,10 +114,14 @@ def _check_budget(n: int, k: int, term_budget: int) -> None:
             raise TermBudgetError(n, k, terms, term_budget)
 
 
-def _integral(value: Fraction) -> int:
-    if value.denominator != 1 or value < 0:
-        raise NotIntegralError(value)
-    return int(value)
+def _integral(num: int, den: int) -> int:
+    """num / den, asserted to be a non-negative integer; den > 0."""
+    quotient, remainder = divmod(num, den)
+    if remainder or quotient < 0:
+        from fractions import Fraction
+
+        raise NotIntegralError(Fraction(num, den))
+    return quotient
 
 
 def verlinde_number(query: VerlindeQuery, *, term_budget: int = DEFAULT_TERM_BUDGET) -> int:
@@ -147,8 +150,7 @@ def verlinde_number(query: VerlindeQuery, *, term_budget: int = DEFAULT_TERM_BUD
                     factors[(d, e)] = factor
                 base = factor * base
         total = total + multiplicity * base**power
-    subset_sum = to_rational(total) * Fraction(n, min(k, r))
-    return _integral(subset_sum * Fraction(r**g, n**g))
+    return _integral(to_rational(total) * n * r**g, min(k, r) * n**g)
 
 
 def level_one_oracle(rank: int, genus: int) -> int:
@@ -176,11 +178,11 @@ def check_rank_level_symmetry(
     """
     r, k, g = query.rank, query.level, query.genus
     value = verlinde_number(query, term_budget=term_budget)
-    partner = _integral(Fraction(value * k**g, r**g))
+    partner = _integral(value * k**g, r**g)
     return VerlindeReport(
         query=query,
         value=value,
-        modified_value=_integral(Fraction(value * (r + k) ** g, r**g)),
+        modified_value=_integral(value * (r + k) ** g, r**g),
         partner_value=partner,
         symmetry_holds=value * k**g == partner * r**g,
     )

@@ -117,8 +117,9 @@ def test_criterion_06_wedge_duality_matrices():
             backward = backward_cache[n - k]
             sign = (-1) ** (k * (n - k))
             back_rows = {s: i for i, s in enumerate(backward.rows)}
+            cols, row_to_col = forward.cols, forward.row_to_col
             for i, s in enumerate(forward.rows):
-                comp = forward.cols[forward.row_to_col[i]]
+                comp = cols[row_to_col[i]]
                 if forward.signs[i] != sign * backward.signs[back_rows[comp]]:
                     failures.append(f"transpose sign law fails at (n={n},k={k},S={s})")
                     break

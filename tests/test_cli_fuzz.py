@@ -5,6 +5,9 @@ with integers of absolute value at most 60 and a term budget of at most
 5000 so that every query is quick, plus config and points files that are
 well formed or malformed.  ``main`` runs in process and must return a
 documented exit code; only ``--help`` may end it with ``SystemExit(0)``.
+
+The same grammar, with mutations, checks that the fast parser reads every
+command line it accepts exactly as argparse does.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thetacalc.cli import main
+from thetacalc.cli import COMMANDS, _build_parser, _fast_parse, main
 
 EXIT_CODES = {0, 2, 3, 64}
 
@@ -154,3 +157,105 @@ def test_cli_fuzz_exits_with_a_documented_code(data, points, config):
         assert code in EXIT_CODES
     assert "Traceback" not in err.getvalue()
     assert (code == 0) == (err.getvalue() == "")
+
+
+# Tokens that argparse reads differently from their look, or refuses.
+MUTANTS = [
+    "--form", "--format=csv", "--modified=1", "--", "-h", "--help", "-5_0", "+4", " 5", "-",
+    "--v=", "--v", "-3", "--check", "--term-budget", "--term-budget=-1", "--export=-x", "x", "",
+]
+
+
+@st.composite
+def _mutated_argv(draw) -> list[str]:
+    tmp = Path("tmp")
+    options = draw(_global_options(tmp)) if draw(st.booleans()) else []
+    command = draw(_command(tmp))
+    argv = command + options if draw(st.integers(0, 5)) == 0 else options + command
+    for _ in range(draw(st.integers(0, 3))):
+        index = draw(st.integers(0, len(argv)))
+        mutation = draw(st.sampled_from(["insert", "replace", "repeat", "drop"]))
+        if mutation == "insert":
+            argv.insert(index, draw(st.sampled_from(MUTANTS)))
+        elif mutation == "replace" and index < len(argv):
+            argv[index] = draw(st.sampled_from(MUTANTS))
+        elif mutation == "repeat":
+            argv[index:index] = argv[draw(st.integers(0, len(argv))) :][:2]
+        elif index < len(argv):
+            del argv[index]
+    return argv
+
+
+PARSER = _build_parser()
+
+
+def _argparse_vars(argv: list[str]) -> dict:
+    return vars(PARSER.parse_args(argv))
+
+
+@settings(database=None, deadline=None, max_examples=1500)
+@given(argv=_mutated_argv())
+def test_fast_parse_is_none_or_argparse(argv):
+    fast = _fast_parse(argv)
+    if fast is not None:
+        assert fast == _argparse_vars(argv)
+
+
+WELL_FORMED = [
+    ["verlinde", "2", "1", "2"],
+    ["--term-budget", "-1", "--format", "csv", "verlinde", "3", "-2", "3", "--modified", "--check-symmetry", "--float-oracle"],
+    ["--config=c.json", "--lattice", "abelian_pp", "--precision=40", "mukai", "pair", "--v=1:1,0:0", "--w", "0:0,1:2"],
+    ["--format=markdown", "mukai", "chi-k3", "--w=", "--v", "1:0,0:-1"],
+    ["mukai", "chi-abelian", "--v=", "--w", "-1", "--variant=kummer"],
+    ["mukai", "fm", "--v", "2:1,1:0"],
+    ["mukai", "conjecture", "--v", "X", "--w", "X", "--H", "1,1", "--w-effective"],
+    ["duality", "wedge", "4", "--export", "m.json", "2"],
+    ["--term-budget=5000", "duality", "sym", "2", "2"],
+    ["duality", "theta-vanishes", "--points=p.json"],
+    ["elliptic", "normalize", "2", "-3", "-3"],
+    ["elliptic", "nu", "2", "2", "8", "10"],
+    ["elliptic", "theta-class", "2", "2", "8", "10"],
+    ["elliptic", "dims", "-2", "2", "8", "10"],
+]
+
+
+def test_fast_parse_accepts_every_op():
+    seen = set()
+    for argv in WELL_FORMED:
+        fast = _fast_parse(argv)
+        assert fast is not None, argv
+        assert fast == _argparse_vars(argv)
+        seen.add((fast["command"], fast.get(f"{fast['command']}_op")))
+    assert seen == {(command, op) for command, (_, _, ops) in COMMANDS.items() for op in ops}
+
+
+# One command line for each kind that argparse must read: help, an
+# abbreviation, "--", an unknown or misplaced option, a switch given a
+# value, a value starting with "-" that is not an integer, a missing
+# required option, a wrong positional count, a failed int() and a value
+# outside its choices.
+HANDED_TO_ARGPARSE = [
+    ["-h"],
+    ["verlinde", "2", "1", "2", "--help"],
+    ["--form", "json", "verlinde", "2", "1", "2"],
+    ["mukai", "chi-abelian", "--v", "X", "--w", "X", "--var", "s3"],
+    ["verlinde", "--", "2", "1", "2"],
+    ["verlinde", "2", "1", "2", "--format", "json"],
+    ["--modified", "verlinde", "2", "1", "2"],
+    ["verlinde", "2", "1", "2", "--modified=1"],
+    ["mukai", "fm", "--v", "-1:0,0:0"],
+    ["mukai", "fm", "--v=-x"],
+    ["--term-budget", "-5_0", "verlinde", "2", "1", "2"],
+    ["mukai", "pair", "--v", "X"],
+    ["duality", "theta-vanishes"],
+    ["verlinde", "3", "3"],
+    ["elliptic", "nu", "1", "2", "3", "4", "5"],
+    ["verlinde", "2", "1", "two"],
+    ["--format", "xml", "verlinde", "2", "1", "2"],
+    ["mukai", "chi-abelian", "--v", "X", "--w", "X", "--variant", "s5"],
+]
+
+
+def test_fast_parse_hands_the_rest_to_argparse():
+    for argv in HANDED_TO_ARGPARSE:
+        assert _fast_parse(argv) is None, argv

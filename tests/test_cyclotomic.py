@@ -81,7 +81,10 @@ def test_two_sin_domain_errors():
 def test_to_rational_constant():
     element = CycloElement.from_rational(7, Fraction(7, 3))
     assert element.is_rational
-    assert to_rational(element) == Fraction(7, 3)
+    value = to_rational(element)
+    assert value == Fraction(7, 3) and type(value) is Fraction
+    value = to_rational(CycloElement.from_rational(7, -4))
+    assert value == -4 and type(value) is int
     assert not root_of_unity(7, 1).is_rational
 
 

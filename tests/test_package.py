@@ -79,6 +79,11 @@ def test_verlinde_query_imports_only_its_modules():
         "thetacalc.elliptic_k3",
         "dataclasses",
         "mpmath",
+        "argparse",
+        "gettext",
+        "locale",
+        "fractions",
+        "decimal",
     }
     assert not unwanted & loaded
 
@@ -104,6 +109,66 @@ def test_record_queries_load_neither_dataclasses_nor_inspect(argv, tmp_path):
     points.write_text(json.dumps(config))
     loaded = _loaded_after([str(points) if arg == "POINTS" else arg for arg in argv])
     assert not {"dataclasses", "inspect"} & loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mukai", "pair", "--v=1:1,0:0", "--w=0:0,1:2"],
+        ["duality", "wedge", "3", "1"],
+        ["elliptic", "dims", "2", "2", "8", "10"],
+    ],
+)
+def test_well_formed_queries_do_not_load_argparse(argv):
+    assert "argparse" not in _loaded_after(argv)
+
+
+USAGE = """\
+usage: thetacalc [-h] [--format {json,markdown,csv}] [--config CONFIG]
+                 [--term-budget TERM_BUDGET] [--lattice LATTICE]
+                 [--precision PRECISION]
+                 {verlinde,mukai,duality,elliptic} ...
+"""
+MUKAI_HELP = """\
+usage: thetacalc mukai [-h] {pair,chi-k3,chi-abelian,fm,conjecture} ...
+
+positional arguments:
+  {pair,chi-k3,chi-abelian,fm,conjecture}
+
+options:
+  -h, --help            show this help message and exit
+"""
+FROBNICATE = USAGE + (
+    "error: argument command: invalid choice: 'frobnicate' "
+    "(choose from 'verlinde', 'mukai', 'duality', 'elliptic')\n"
+)
+VERLINDE_3_3 = """\
+usage: thetacalc verlinde [-h] [--modified] [--check-symmetry]
+                          [--float-oracle]
+                          r k g
+error: the following arguments are required: g
+"""
+
+
+def _console(*argv: str) -> subprocess.CompletedProcess:
+    """The CLI as a script runs it: ``run()`` reads its arguments from sys.argv."""
+    env = dict(os.environ, PYTHONPATH=SRC, COLUMNS="80")
+    return subprocess.run(
+        [sys.executable, "-m", "thetacalc.cli", *argv], capture_output=True, text=True, env=env
+    )
+
+
+def test_help_and_usage_errors_are_argparse_text():
+    top = _console("--help")
+    assert top.returncode == 0 and top.stderr == ""
+    assert top.stdout.startswith(USAGE + "\nCommand-line frontend.")
+    assert "    verlinde            rank-level theta section counts\n" in top.stdout
+    assert "  --precision PRECISION\n" in top.stdout
+    mukai = _console("mukai", "--help")
+    assert (mukai.returncode, mukai.stdout, mukai.stderr) == (0, MUKAI_HELP, "")
+    for argv, text in [(["frobnicate"], FROBNICATE), (["verlinde", "3", "3"], VERLINDE_3_3)]:
+        result = _console(*argv)
+        assert (result.returncode, result.stdout, result.stderr) == (64, "", text)
 
 
 def test_all_lists_every_exported_name():

@@ -9,9 +9,10 @@ import mpmath
 import pytest
 
 from thetacalc.cyclotomic import CycloElement, to_rational, two_sin
-from thetacalc.errors import DomainError, TermBudgetError
+from thetacalc.errors import DomainError, NotIntegralError, TermBudgetError
 from thetacalc.verlinde import (
     VerlindeQuery,
+    _integral,
     check_rank_level_symmetry,
     float_oracle,
     level_one_oracle,
@@ -183,6 +184,17 @@ def test_integrality_on_grid(verlinde_grid):
         modified = modified_verlinde(VerlindeQuery(r, k, g))
         assert isinstance(modified, int)
         assert modified >= 0
+
+
+def test_integral_divides_exactly():
+    value = _integral(6 * 10**700, 3)
+    assert value == 2 * 10**700 and type(value) is int
+    assert _integral(0, 5) == 0
+    for num, den, message in [(7, 3, "not integral: 7/3"), (-6, 3, "not integral: -2")]:
+        with pytest.raises(NotIntegralError) as info:
+            _integral(num, den)
+        assert str(info.value) == message
+        assert info.value.value == Fraction(num, den)
 
 
 def test_monotonic_in_genus(verlinde_grid):
