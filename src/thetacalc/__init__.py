@@ -25,14 +25,12 @@ _EXPORTS = {
     ),
     "elliptic_k3": (
         "DualityDims",
-        "EllipticPair",
         "NormalizedVector",
         "NuResult",
         "ThetaClass",
         "chi_of_vector",
         "chi_pair",
         "compute_nu",
-        "elliptic_lattice",
         "normalize_vector",
         "normalized_vector",
         "ns_class",
@@ -65,7 +63,6 @@ _EXPORTS = {
         "dv",
         "fm_transform",
         "lattice_preset",
-        "load_preset_file",
         "mukai_pairing",
     ),
     "power_duality": (
@@ -75,7 +72,6 @@ _EXPORTS = {
         "evaluate_sym_form",
         "incidence_form",
         "pair_wedge",
-        "subsets_colex",
         "sym_duality_matrix",
         "theta_vanishes",
         "wedge_duality_matrix",

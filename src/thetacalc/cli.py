@@ -53,7 +53,7 @@ _CONFIG_TYPES = {"output_format": str, "term_budget": int, "lattice_preset": str
 
 def _resolve_config(args) -> CliConfig:
     cfg = CliConfig()
-    if getattr(args, "config", None):
+    if args.config:
         try:
             data = json.loads(Path(args.config).read_text())
         except (OSError, ValueError) as exc:
@@ -78,13 +78,13 @@ def _resolve_config(args) -> CliConfig:
             cfg.term_budget = int(env_budget)
         except ValueError:
             raise DomainError(f"{ENV_TERM_BUDGET} must be an integer, got {env_budget!r}")
-    if getattr(args, "format", None):
+    if args.format:
         cfg.output_format = args.format
-    if getattr(args, "term_budget", None) is not None:
+    if args.term_budget is not None:
         cfg.term_budget = args.term_budget
-    if getattr(args, "lattice", None):
+    if args.lattice:
         cfg.lattice_preset = args.lattice
-    if getattr(args, "precision", None) is not None:
+    if args.precision is not None:
         cfg.precision = args.precision
     if cfg.output_format not in FORMATS:
         raise DomainError(f"unknown output format {cfg.output_format!r}")

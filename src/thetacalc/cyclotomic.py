@@ -72,11 +72,6 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def field_degree(m: int) -> int:
-    """Degree of Q(zeta_m) over Q, i.e. the Euler totient of m."""
-    return len(cyclotomic_polynomial(m)) - 1
-
-
 def _dickson(count: int) -> list[list[int]]:
     """D_0, ..., D_(count-1), constant term first: D_j(x + 1/x) = x^j + x^(-j)."""
     polys = [[2], [0, 1]]
@@ -236,10 +231,6 @@ class CycloElement(Frozen):
             if not exponent:
                 return result
             base = base * base
-
-    @property
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
 
 
 class RealCycloElement(CycloElement):

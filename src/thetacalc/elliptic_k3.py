@@ -27,14 +27,9 @@ import math
 
 from ._frozen import Frozen
 from .errors import DivisibilityError, DomainError, NuTooWeakError
-from .mukai import MukaiVector, NSClass, NSLattice, lattice_preset, mukai_pairing
+from .mukai import MukaiVector, NSClass, lattice_preset, mukai_pairing
 
 _ELLIPTIC = lattice_preset("k3_elliptic")
-
-
-def elliptic_lattice() -> NSLattice:
-    """The rank-2 lattice with Gram matrix [[-2, 1], [1, 0]] in the basis (sigma, f)."""
-    return _ELLIPTIC
 
 
 def ns_class(sigma: int, fiber: int) -> NSClass:
@@ -169,30 +164,3 @@ def strange_duality_dims(r: int, s: int, a: int, b: int) -> DualityDims:
     return DualityDims(
         dim_a=dim_a, dim_b=dim_b, equal=dim_a == dim_b, corollary_applies=applies, theta=theta
     )
-
-
-class EllipticPair(Frozen):
-    """All derived data of a rank/half-dimension pair (r, s, a, b)."""
-
-    __slots__ = ("r", "s", "a", "b", "nu", "L", "chi_L", "predicted_dims")
-
-    def _validate(self) -> None:
-        if (self.a + self.b - 2) % (self.r + self.s) != 0:
-            raise DivisibilityError(self.r + self.s, self.a + self.b - 2)
-        if self.chi_L != self.a + self.b:
-            raise DomainError("chi(L) must equal a + b")
-
-    @classmethod
-    def build(cls, r: int, s: int, a: int, b: int) -> "EllipticPair":
-        dims = strange_duality_dims(r, s, a, b)
-        theta = dims.theta
-        return cls(
-            r=r,
-            s=s,
-            a=a,
-            b=b,
-            nu=theta.nu,
-            L=theta.L,
-            chi_L=theta.chi,
-            predicted_dims=(dims.dim_a, dims.dim_b),
-        )

@@ -18,10 +18,8 @@ Conventions fixed here once:
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
-from pathlib import Path
 
 from ._frozen import Frozen
 from .errors import DomainError, LatticeMismatchError, NotIntegralError
@@ -95,11 +93,6 @@ def presets_from_json(data) -> dict[str, NSLattice]:
             )
         presets[name] = NSLattice(tuple(tuple(row) for row in gram), name=name)
     return presets
-
-
-def load_preset_file(path: str | Path) -> dict[str, NSLattice]:
-    """Read named Gram matrices from a JSON file {name: [[...], ...]}."""
-    return presets_from_json(json.loads(Path(path).read_text()))
 
 
 class NSClass(Frozen):
@@ -207,13 +200,14 @@ def c1_proportional(v: MukaiVector, w: MukaiVector) -> bool:
     return all(a[i] * b[j] == a[j] * b[i] for i in range(n) for j in range(i + 1, n))
 
 
+# Aliases in the order of the --variant choices in cli.COMMANDS.
 ABELIAN_VARIANTS = {
-    "albanese_plus": "albanese_plus",
-    "albanese_minus": "albanese_minus",
-    "kummer": "kummer",
     "s2": "albanese_plus",
     "s3": "albanese_minus",
     "s4": "kummer",
+    "albanese_plus": "albanese_plus",
+    "albanese_minus": "albanese_minus",
+    "kummer": "kummer",
 }
 
 

@@ -13,9 +13,11 @@ detected by the vanishing of the n x n evaluation determinant, which by
 Laplace expansion along the first k rows equals the wedge pairing of the
 wedged evaluation covectors of Z and W.
 
-Subset and monomial indices are frozen (colexicographic subsets,
-descending-lexicographic exponents) so matrices are reproducible
-byte-for-byte.
+Subset and monomial indices are frozen so matrices are reproducible
+byte-for-byte: subsets in colexicographic order, the numeric order of
+their bitmasks (``_colex_masks``), and exponents in descending-lexicographic
+order.  A wedge matrix is stored as its signs alone, row i paired with
+column C(n,k)-1-i; the Sym^n pairing is diagonal in monomial bases.
 """
 
 from __future__ import annotations
@@ -23,24 +25,11 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from itertools import combinations
 
 from ._frozen import Frozen
 from .errors import ArithmeticBugError, DegenerateConfigError, DomainError
 
 Rat = int | Fraction
-
-
-def subsets_colex(n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """All k-subsets of {1..n} in colexicographic order.
-
-    Colex order compares subsets by their largest members first.  Drawn
-    from (n, n-1, ..., 1), combinations come as descending tuples in the
-    reverse of that order, so reversing both gives colex without a sort.
-    """
-    if not 0 <= k <= n:
-        raise DomainError(f"need 0 <= k <= n, got k={k}, n={n}")
-    return tuple(s[::-1] for s in reversed(list(combinations(range(n, 0, -1), k))))
 
 
 def _colex_masks(n: int, k: int):
@@ -66,8 +55,10 @@ class WedgeMatrix(Frozen):
     """Signed-permutation matrix of the pairing between complementary exterior powers.
 
     Rows are indexed by k-subsets, columns by (n-k)-subsets, both in colex
-    order; row i has its unique non-zero entry ``signs[i]`` in column
-    ``row_to_col[i]`` (the complement of the i-th row subset).
+    order (``_colex_masks``).  Row i has its unique non-zero entry
+    ``signs[i]`` in column size-1-i, the complement of the i-th row subset:
+    colex order of subsets is the numeric order of their bitmasks, and the
+    complement mask (2^n - 1) - mask reverses that order.
     """
 
     __slots__ = ("n", "k", "signs")
@@ -76,40 +67,12 @@ class WedgeMatrix(Frozen):
     def size(self) -> int:
         return len(self.signs)
 
-    @property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        return subsets_colex(self.n, self.k)
-
-    @property
-    def cols(self) -> tuple[tuple[int, ...], ...]:
-        return subsets_colex(self.n, self.n - self.k)
-
-    @property
-    def row_to_col(self) -> tuple[int, ...]:
-        """Complementing reverses colex order: row i pairs with column size-1-i.
-
-        Colex order of subsets is the numeric order of their bitmasks, and
-        the complement mask is (2^n - 1) - mask.
-        """
-        return tuple(range(self.size - 1, -1, -1))
-
-    def entry(self, i: int, j: int) -> int:
-        return self.signs[i] if i + j == self.size - 1 else 0
-
-    def entry_by_subsets(self, s: tuple[int, ...], t: tuple[int, ...]) -> int:
-        i = self.rows.index(tuple(s))
-        j = self.cols.index(tuple(t))
-        return self.entry(i, j)
-
     def determinant(self) -> int:
         """Exact determinant: the sign of the reversal times the product of entry signs.
 
         Reversing N indices takes floor(N/2) transpositions.
         """
         return -1 if (self.size // 2 + self.signs.count(-1)) % 2 else 1
-
-    def dense(self) -> list[list[int]]:
-        return [[self.entry(i, j) for j in range(self.size)] for i in range(self.size)]
 
     def to_json_dict(self) -> dict:
         last = self.size - 1
@@ -169,10 +132,6 @@ def evaluation_covector(point, model) -> tuple[Rat, ...]:
     """Values of the model monomials x^ex * y^ey at a point (x, y)."""
     x, y = point
     return tuple(x**ex * y**ey for ex, ey in model)
-
-
-def evaluation_matrix(points, model) -> list[list[Rat]]:
-    return [list(evaluation_covector(p, model)) for p in points]
 
 
 def _integer_rows(rows) -> tuple[list[list[int]], int]:
@@ -367,7 +326,7 @@ def theta_rows(z_points, w_points, model) -> list[list[Rat]]:
         for ex, ey in model:
             if (ex < 0 and x == 0) or (ey < 0 and y == 0):
                 raise DomainError(f"point ({x}, {y}) is a pole of the model monomial x^{ex} y^{ey}")
-    return evaluation_matrix(normalized, model)
+    return [list(evaluation_covector(p, model)) for p in normalized]
 
 
 def theta_vanishes(z_points, w_points, model) -> bool:
@@ -416,12 +375,6 @@ class SymDualityMatrix(Frozen):
     @property
     def size(self) -> int:
         return len(self.monomials)
-
-    def entry(self, i: int, j: int) -> int:
-        return self.diagonal[i] if i == j else 0
-
-    def dense(self) -> list[list[int]]:
-        return [[self.entry(i, j) for j in range(self.size)] for i in range(self.size)]
 
     @property
     def full_rank(self) -> bool:

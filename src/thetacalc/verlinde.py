@@ -189,7 +189,7 @@ def check_rank_level_symmetry(
 
 
 def float_oracle(query: VerlindeQuery, precision: int = 30):
-    """The unreduced sum with high-precision floating sines; test support only.
+    """The unreduced sum with high-precision floating sines, behind ``--float-oracle``.
 
     Enumerates all C(r+k, k) subsets with the plain distances |s-t| and
     shares none of the exact path's reductions, so it checks them.

@@ -1,11 +1,25 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 from thetacalc.verlinde import VerlindeQuery, verlinde_number
 
 GRID_SUM_MAX = 10
 GRID_GENERA = tuple(range(2, 6))
+
+
+def subsets_colex(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """All k-subsets of {1..n} in colexicographic order, as ascending tuples.
+
+    The colex oracle of the tests, independent of the bitmask order the
+    package uses.  Colex order compares subsets by their largest members
+    first.  Drawn from (n, n-1, ..., 1), combinations come as descending
+    tuples in the reverse of that order, so reversing both gives colex
+    without a sort.
+    """
+    return tuple(s[::-1] for s in reversed(list(combinations(range(n, 0, -1), k))))
 
 
 @pytest.fixture(scope="session")

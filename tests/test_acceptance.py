@@ -24,7 +24,7 @@ from thetacalc.verlinde import (
     verlinde_number,
 )
 
-from conftest import GRID_GENERA, GRID_SUM_MAX
+from conftest import GRID_GENERA, GRID_SUM_MAX, subsets_colex
 
 
 def _report(number: int, description: str, failures: list[str]):
@@ -102,24 +102,27 @@ def test_criterion_05_float_exact_agreement(verlinde_grid):
 def test_criterion_06_wedge_duality_matrices():
     failures = []
     for n in range(0, 15):
-        backward_cache = {}
-        for k in range(0, n + 1):
-            matrix = pdl.wedge_duality_matrix(n, k)
-            if sorted(matrix.row_to_col) != list(range(matrix.size)):
-                failures.append(f"(n={n},k={k}) not a permutation")
+        subsets = {k: subsets_colex(n, k) for k in range(0, n + 1)}
+        matrices = {k: pdl.wedge_duality_matrix(n, k) for k in range(0, n + 1)}
+        for k, matrix in matrices.items():
+            if matrix.size != len(subsets[k]):
+                failures.append(f"(n={n},k={k}) has size {matrix.size}")
             if any(s not in (-1, 1) for s in matrix.signs):
                 failures.append(f"(n={n},k={k}) has entries outside -1,0,1")
             if matrix.determinant() not in (-1, 1):
                 failures.append(f"(n={n},k={k}) determinant {matrix.determinant()}")
-            backward_cache[k] = matrix
-        for k in range(0, n + 1):
-            forward = backward_cache[k]
-            backward = backward_cache[n - k]
+        for k, forward in matrices.items():
+            # row i pairs with column size-1-i, which must be the complement
+            # of its subset; the matrix of (n, n-k) has those columns as rows
+            backward = matrices[n - k]
             sign = (-1) ** (k * (n - k))
-            back_rows = {s: i for i, s in enumerate(backward.rows)}
-            cols, row_to_col = forward.cols, forward.row_to_col
-            for i, s in enumerate(forward.rows):
-                comp = cols[row_to_col[i]]
+            cols = subsets[n - k]
+            back_rows = {t: j for j, t in enumerate(cols)}
+            for i, s in enumerate(subsets[k]):
+                comp = cols[forward.size - 1 - i]
+                if set(s) | set(comp) != set(range(1, n + 1)):
+                    failures.append(f"column of (n={n},k={k},S={s}) is not its complement")
+                    break
                 if forward.signs[i] != sign * backward.signs[back_rows[comp]]:
                     failures.append(f"transpose sign law fails at (n={n},k={k},S={s})")
                     break
@@ -183,7 +186,7 @@ def test_criterion_07_theta_divisor_oracle():
                 points = _random_config(rng, n)
             trials += 1
             z_points, w_points = points[:k], points[k:]
-            rows = pdl.evaluation_matrix(list(z_points) + list(w_points), model)
+            rows = [list(pdl.evaluation_covector(p, model)) for p in points]
             det = pdl.det_exact(rows)
             alpha = pdl.wedge_coefficients(rows[:k], n, k)
             beta = pdl.wedge_coefficients(rows[k:], n, n - k)
@@ -287,15 +290,17 @@ def test_criterion_09_elliptic_identities():
                     dims = ek.strange_duality_dims(r, s, a, b)
                     if dims.dim_a != dims.dim_b:
                         failures.append(f"dimension mismatch at ({r},{s},{a},{b})")
-    frozen = ek.EllipticPair.build(2, 3, 12, 15)
-    if frozen.nu != -2 or frozen.L.coords != (5, 10) or frozen.chi_L != 27:
+    frozen = ek.strange_duality_dims(2, 3, 12, 15)
+    theta = frozen.theta
+    if theta.nu != -2 or theta.L.coords != (5, 10) or theta.chi != 27:
         failures.append(f"frozen case wrong: {frozen}")
     expected = 17383860
     by_product = 1
     for i in range(1, 13):  # independent multiplicative route for C(27,12)
         by_product = by_product * (15 + i) // i
-    if frozen.predicted_dims != (expected, expected) or by_product != expected:
-        failures.append(f"C(27,12) mismatch: {frozen.predicted_dims} vs {by_product}")
+    predicted = (frozen.dim_a, frozen.dim_b)
+    if predicted != (expected, expected) or by_product != expected:
+        failures.append(f"C(27,12) mismatch: {predicted} vs {by_product}")
     _report(9, "elliptic self-pairings, chi(L) = a+b, dims and strength equivalences", failures)
 
 

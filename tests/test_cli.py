@@ -152,6 +152,27 @@ def test_mukai_chi_abelian_variants(capsys):
     _check_golden("mukai_chi_abelian_s4.json", out)
 
 
+def test_variant_aliases_agree_with_mukai(capsys):
+    from thetacalc import mukai
+    from thetacalc.cli import COMMANDS
+
+    choices = COMMANDS["mukai"][2]["chi-abelian"][1]["--variant"]["choices"]
+    assert choices == tuple(mukai.ABELIAN_VARIANTS)
+    printed = {}
+    for alias in choices:
+        code, out, _ = _run(
+            capsys,
+            "--lattice", "abelian_pp",
+            "mukai", "chi-abelian", "--v", "1:1:0", "--w", "1:2:4", "--variant", alias,
+        )
+        assert code == 0
+        payload = json.loads(out)
+        printed[alias] = (payload["variant"], payload["formula"])
+    for alias, variant in mukai.ABELIAN_VARIANTS.items():
+        assert printed[alias] == printed[variant] and printed[variant][0] == variant
+    assert len(set(printed.values())) == 3
+
+
 def test_mukai_fm(capsys):
     code, out, _ = _run(capsys, "--lattice", "abelian_pp", "mukai", "fm", "--v", "1:0:-1")
     assert code == 0

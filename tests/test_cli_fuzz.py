@@ -21,7 +21,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thetacalc.cli import COMMANDS, _build_parser, _fast_parse, main
+from thetacalc.cli import COMMANDS, GLOBAL_OPTIONS, _build_parser, _dest, _fast_parse, main
 
 EXIT_CODES = {0, 2, 3, 64}
 
@@ -225,6 +225,8 @@ def test_fast_parse_accepts_every_op():
         fast = _fast_parse(argv)
         assert fast is not None, argv
         assert fast == _argparse_vars(argv)
+        # every global option is set, so _resolve_config reads them as attributes
+        assert {_dest(flag) for flag in GLOBAL_OPTIONS} <= fast.keys()
         seen.add((fast["command"], fast.get(f"{fast['command']}_op")))
     assert seen == {(command, op) for command, (_, _, ops) in COMMANDS.items() for op in ops}
 

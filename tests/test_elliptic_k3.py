@@ -7,11 +7,9 @@ import pytest
 from thetacalc import elliptic_k3 as ek
 from thetacalc.cli import main
 from thetacalc.elliptic_k3 import (
-    EllipticPair,
     chi_of_vector,
     chi_pair,
     compute_nu,
-    elliptic_lattice,
     normalize_vector,
     normalized_vector,
     ns_class,
@@ -19,11 +17,12 @@ from thetacalc.elliptic_k3 import (
     theta_bundle_class,
 )
 from thetacalc.errors import DivisibilityError, DomainError, NuTooWeakError
-from thetacalc.mukai import mukai_pairing
+from thetacalc.mukai import lattice_preset, mukai_pairing
 
 
 def test_lattice_shape():
-    lattice = elliptic_lattice()
+    lattice = ns_class(0, 0).lattice
+    assert lattice == lattice_preset("k3_elliptic")
     assert lattice.gram == ((-2, 1), (1, 0))
     sigma, fiber = ns_class(1, 0), ns_class(0, 1)
     assert sigma.dot(sigma) == -2
@@ -131,6 +130,8 @@ def test_dims_frozen_case():
     assert dims.equal
     assert dims.corollary_applies  # boundary: <v,v> + <w,w> = 50 = 2*(r+s)^2
     assert dims.theta == theta_bundle_class(2, 3, 12, 15)
+    with pytest.raises(DivisibilityError):
+        strange_duality_dims(2, 2, 10, 10)
 
 
 def test_dims_weak_nu_rejected():
@@ -192,16 +193,6 @@ def test_strength_condition_equivalences():
                 assert result.nu_strong == strong
 
 
-def test_elliptic_pair_builder():
-    pair = EllipticPair.build(2, 3, 12, 15)
-    assert pair.nu == -2
-    assert pair.L.coords == (5, 10)
-    assert pair.chi_L == 27
-    assert pair.predicted_dims == (17383860, 17383860)
-    with pytest.raises(DivisibilityError):
-        EllipticPair.build(2, 2, 10, 10)
-
-
 def _count_calls(monkeypatch):
     calls = {"compute_nu": 0, "theta_bundle_class": 0}
     for name in calls:
@@ -215,12 +206,9 @@ def _count_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("query", ["theta-class", "dims", "build"])
+@pytest.mark.parametrize("query", ["theta-class", "dims"])
 def test_each_quantity_computed_once(monkeypatch, capsys, query):
     calls = _count_calls(monkeypatch)
-    if query == "build":
-        EllipticPair.build(2, 3, 12, 15)
-    else:
-        assert main(["elliptic", query, "2", "3", "12", "15"]) == 0
-        capsys.readouterr()
+    assert main(["elliptic", query, "2", "3", "12", "15"]) == 0
+    capsys.readouterr()
     assert calls == {"compute_nu": 1, "theta_bundle_class": 1}

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 import random
 
 import pytest
@@ -23,8 +22,8 @@ from thetacalc.mukai import (
     dv,
     fm_transform,
     lattice_preset,
-    load_preset_file,
     mukai_pairing,
+    presets_from_json,
 )
 
 AB = lattice_preset("abelian_pp")
@@ -284,18 +283,15 @@ def test_lattice_mismatch_rejected():
         mukai_pairing(v, w)
 
 
-def test_presets_and_config_file(tmp_path):
+def test_presets_and_config_file():
     assert lattice_preset("k3_elliptic").gram == ((-2, 1), (1, 0))
     assert lattice_preset("abelian_pp").gram == ((2,),)
     with pytest.raises(DomainError):
         lattice_preset("nope")
-    path = tmp_path / "lattices.json"
-    path.write_text(json.dumps({"abelian_product": [[0, 1], [1, 0]]}))
-    presets = load_preset_file(path)
+    presets = presets_from_json({"abelian_product": [[0, 1], [1, 0]]})
     assert presets["abelian_product"].gram == ((0, 1), (1, 0))
     assert lattice_preset("abelian_product", presets).name == "abelian_product"
     bad = ([[1]], {"x": 5}, {"x": [[1.5]]}, {"x": [[False]]}, {"x": []}, {"x": [[0, 1], [2, 0]]})
     for data in bad:
-        path.write_text(json.dumps(data))
         with pytest.raises(DomainError):
-            load_preset_file(path)
+            presets_from_json(data)

@@ -14,14 +14,14 @@ import pytest
 
 import thetacalc
 
-# Every name the package exported when its __init__ imported each module.
+# Every name the package exports, by the module that defines it.
 EXPORTED = {
     "cyclotomic": (
         "CycloElement cyclotomic_polynomial root_of_unity to_rational two_sin"
     ),
     "elliptic_k3": (
-        "DualityDims EllipticPair NormalizedVector NuResult ThetaClass "
-        "chi_of_vector chi_pair compute_nu elliptic_lattice normalize_vector "
+        "DualityDims NormalizedVector NuResult ThetaClass "
+        "chi_of_vector chi_pair compute_nu normalize_vector "
         "normalized_vector ns_class strange_duality_dims theta_bundle_class"
     ),
     "errors": (
@@ -32,11 +32,11 @@ EXPORTED = {
     "mukai": (
         "ConjectureVerdict MukaiVector NSClass NSLattice c1_proportional c1_tensor "
         "check_conjecture chi_abelian chi_k3 chi_tensor dv fm_transform "
-        "lattice_preset load_preset_file mukai_pairing"
+        "lattice_preset mukai_pairing"
     ),
     "power_duality": (
         "SymDualityMatrix WedgeMatrix evaluation_covector evaluate_sym_form "
-        "incidence_form pair_wedge subsets_colex sym_duality_matrix theta_vanishes "
+        "incidence_form pair_wedge sym_duality_matrix theta_vanishes "
         "wedge_duality_matrix"
     ),
     "verlinde": (
@@ -46,6 +46,7 @@ EXPORTED = {
 }
 
 SRC = str(Path(thetacalc.__file__).resolve().parent.parent)
+TRACED_CLI = Path(__file__).resolve().parent.parent / "bench" / "traced_cli.py"
 
 
 def _fresh(script: str) -> str:
@@ -169,6 +170,30 @@ def test_help_and_usage_errors_are_argparse_text():
     for argv, text in [(["frobnicate"], FROBNICATE), (["verlinde", "3", "3"], VERLINDE_3_3)]:
         result = _console(*argv)
         assert (result.returncode, result.stdout, result.stderr) == (64, "", text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verlinde", "2", "1", "2"],
+        ["mukai", "pair", "--v=1:1,0:0", "--w=0:0,1:2"],
+        ["duality", "wedge", "4", "2"],
+        ["elliptic", "dims", "2", "3", "12", "15"],
+    ],
+)
+def test_bench_tracer_runs_each_subcommand(argv, tmp_path):
+    """The bench tracer patches package names; a query under it prints what the CLI prints."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    traced = subprocess.run(
+        [sys.executable, str(TRACED_CLI), str(tmp_path / "t"), *argv],
+        capture_output=True,
+        env=env,
+    )
+    plain = subprocess.run(
+        [sys.executable, "-m", "thetacalc.cli", *argv], capture_output=True, env=env
+    )
+    assert traced.returncode == 0, traced.stderr.decode()
+    assert traced.stdout == plain.stdout
 
 
 def test_all_lists_every_exported_name():

@@ -11,51 +11,74 @@ import pytest
 
 from thetacalc.errors import DegenerateConfigError, DomainError
 from thetacalc.power_duality import (
+    _colex_masks,
     det_exact,
     evaluate_sym_form,
     evaluation_covector,
-    evaluation_matrix,
     incidence_form,
     monomial_exponents,
     multinomial,
     pair_wedge,
     parse_model,
     parse_point,
-    subsets_colex,
     sym_duality_matrix,
     theta_vanishes,
     wedge_coefficients,
     wedge_duality_matrix,
 )
 
+from conftest import subsets_colex
+
 MODEL3 = ((0, 0), (1, 0), (0, 1))
 MODEL4 = ((0, 0), (1, 0), (0, 1), (1, 1))
 MODEL6 = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
+def _mask(subset) -> int:
+    return sum(1 << (j - 1) for j in subset)
+
+
 def test_subsets_colex_order():
     assert subsets_colex(4, 2) == ((1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4))
     assert subsets_colex(3, 0) == ((),)
+    for n in range(9):
+        for k in range(n + 1):
+            assert list(_colex_masks(n, k)) == [_mask(s) for s in subsets_colex(n, k)]
+
+
+def _entry(matrix, s, t) -> int:
+    """Entry of a wedge matrix at row subset s and column subset t."""
+    i = subsets_colex(matrix.n, matrix.k).index(s)
+    j = subsets_colex(matrix.n, matrix.n - matrix.k).index(t)
+    return matrix.signs[i] if i + j == matrix.size - 1 else 0
+
+
+def _dense(matrix) -> list[list[int]]:
+    last = matrix.size - 1
+    return [
+        [s if i + j == last else 0 for j in range(matrix.size)]
+        for i, s in enumerate(matrix.signs)
+    ]
 
 
 def test_wedge_matrix_two_one():
     m = wedge_duality_matrix(2, 1)
-    assert m.entry_by_subsets((1,), (2,)) == 1
-    assert m.entry_by_subsets((2,), (1,)) == -1
-    assert m.entry_by_subsets((1,), (1,)) == 0
+    assert _entry(m, (1,), (2,)) == 1
+    assert _entry(m, (2,), (1,)) == -1
+    assert _entry(m, (1,), (1,)) == 0
 
 
 def test_wedge_matrix_three_one_signs():
     m = wedge_duality_matrix(3, 1)
-    assert m.entry_by_subsets((1,), (2, 3)) == 1
-    assert m.entry_by_subsets((2,), (1, 3)) == -1
-    assert m.entry_by_subsets((3,), (1, 2)) == 1
+    assert _entry(m, (1,), (2, 3)) == 1
+    assert _entry(m, (2,), (1, 3)) == -1
+    assert _entry(m, (3,), (1, 2)) == 1
 
 
 def test_wedge_matrix_k_zero():
     for n in (1, 4, 7):
         m = wedge_duality_matrix(n, 0)
-        assert m.dense() == [[1]]
+        assert m.signs == (1,) and m.determinant() == 1
 
 
 def test_wedge_matrix_out_of_range():
@@ -70,7 +93,7 @@ def test_wedge_determinant_agrees_with_dense(n):
     for k in range(n + 1):
         m = wedge_duality_matrix(n, k)
         assert m.determinant() in (-1, 1)
-        assert det_exact(m.dense()) == m.determinant()
+        assert det_exact(_dense(m)) == m.determinant()
 
 
 def test_wedge_transpose_sign_law_small():
@@ -79,10 +102,9 @@ def test_wedge_transpose_sign_law_small():
             forward = wedge_duality_matrix(n, k)
             backward = wedge_duality_matrix(n, n - k)
             sign = (-1) ** (k * (n - k))
-            back_rows = {s: i for i, s in enumerate(backward.rows)}
-            for i, s in enumerate(forward.rows):
-                comp = forward.cols[forward.row_to_col[i]]
-                j = back_rows[comp]
+            back_rows = {s: i for i, s in enumerate(subsets_colex(n, n - k))}
+            for i, s in enumerate(subsets_colex(n, k)):
+                j = back_rows[_complement(n, s)]
                 assert forward.signs[i] == sign * backward.signs[j]
 
 
@@ -135,7 +157,7 @@ def _distinct_points(rng: random.Random, count: int):
 def _pairing_data(z_points, w_points, model):
     n = len(model)
     k = len(z_points)
-    rows = evaluation_matrix(list(z_points) + list(w_points), model)
+    rows = [list(evaluation_covector(p, model)) for p in list(z_points) + list(w_points)]
     alpha = wedge_coefficients(rows[:k], n, k)
     beta = wedge_coefficients(rows[k:], n, n - k)
     return det_exact(rows), pair_wedge(n, k, alpha, beta)
@@ -182,7 +204,7 @@ def test_vanishing_invariant_under_basis_change():
     n = 4
     for _ in range(40):
         points = _distinct_points(rng, n)
-        rows = evaluation_matrix(points, MODEL4)
+        rows = [list(evaluation_covector(p, MODEL4)) for p in points]
         base_det = det_exact(rows)
         while True:
             basis = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
@@ -212,8 +234,8 @@ def test_multinomial_against_permutation_count():
 
 
 def test_sym_duality_matrix_examples():
-    assert sym_duality_matrix(1, 4).dense() == [[1]]
-    assert sym_duality_matrix(2, 1).dense() == [[1, 0], [0, 1]]
+    assert sym_duality_matrix(1, 4).diagonal == (1,)
+    assert sym_duality_matrix(2, 1).diagonal == (1, 1)
     assert sym_duality_matrix(2, 2).diagonal == (1, 2, 1)
     assert sym_duality_matrix(2, 2).monomials == ((2, 0), (1, 1), (0, 2))
     with pytest.raises(DomainError):
@@ -226,7 +248,11 @@ def test_sym_duality_matrix_full_rank():
             matrix = sym_duality_matrix(w_dim, n)
             assert matrix.size == math.comb(w_dim + n - 1, n)
             assert matrix.full_rank
-            assert det_exact(matrix.dense()) != 0
+            dense = [
+                [d if i == j else 0 for j in range(matrix.size)]
+                for i, d in enumerate(matrix.diagonal)
+            ]
+            assert det_exact(dense) != 0
 
 
 def test_incidence_form_examples():
@@ -426,11 +452,11 @@ def test_det_exact_edge_cases():
 def test_wedge_matrix_matches_complement_lookup(n):
     for k in range(n + 1):
         matrix = wedge_duality_matrix(n, k)
+        rows = subsets_colex(n, k)
         cols = {t: j for j, t in enumerate(subsets_colex(n, n - k))}
-        assert matrix.rows == subsets_colex(n, k)
-        assert matrix.cols == subsets_colex(n, n - k)
-        assert matrix.row_to_col == tuple(cols[_complement(n, s)] for s in matrix.rows)
-        assert matrix.signs == tuple(_merge_sign(n, s) for s in matrix.rows)
+        # row i pairs with column size-1-i, the complement of its subset
+        assert [cols[_complement(n, s)] for s in rows] == list(range(matrix.size - 1, -1, -1))
+        assert matrix.signs == tuple(_merge_sign(n, s) for s in rows)
 
 
 def _complement(n, subset):
@@ -482,7 +508,6 @@ def test_wedge_matrix_matches_per_subset_reference(n, ks):
         signs = tuple(_shuffle_sign(s) for s in rows)
         matrix = wedge_duality_matrix(n, k)
         assert matrix.signs == signs
-        assert matrix.row_to_col == row_to_col
         assert matrix.determinant() == _cycle_walk_determinant(row_to_col, signs)
 
 
