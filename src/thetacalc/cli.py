@@ -19,8 +19,8 @@ from types import SimpleNamespace
 # The other modules of the package are imported by the handlers that run
 # them, and argparse only for help and usage errors, so that a query loads
 # only what its subcommand needs.
-from . import verlinde as vl
-from .errors import ArithmeticBugError, DomainError, TermBudgetError
+from .errors import DEFAULT_TERM_BUDGET, ArithmeticBugError, DomainError, TermBudgetError
+from .errors import check_budget
 from .errors import decimal_str as _s
 
 ENV_TERM_BUDGET = "THETACALC_TERM_BUDGET"
@@ -30,7 +30,7 @@ FORMATS = ("json", "markdown", "csv")
 class CliConfig:
     def __init__(self):
         self.output_format = "json"
-        self.term_budget = vl.DEFAULT_TERM_BUDGET
+        self.term_budget = DEFAULT_TERM_BUDGET
         self.lattice_preset = "k3_elliptic"
         self.precision = 30
         self.extra_presets = {}
@@ -119,6 +119,8 @@ def _vector_dict(v) -> dict:
 
 
 def _cmd_verlinde(args, cfg: CliConfig) -> dict:
+    from . import verlinde as vl
+
     query = vl.VerlindeQuery(args.r, args.k, args.g)
     report = vl.check_rank_level_symmetry(query, term_budget=cfg.term_budget)
     out = {"r": args.r, "k": args.k, "g": args.g}
@@ -192,7 +194,7 @@ def _cmd_duality(args, cfg: CliConfig) -> dict:
 
     op = args.duality_op
     if op == "wedge":
-        vl._check_budget(args.n, args.k, cfg.term_budget)
+        check_budget(args.n, args.k, cfg.term_budget)
         matrix = pdl.wedge_duality_matrix(args.n, args.k)
         exported = matrix.to_json_dict()
         out = {
@@ -214,7 +216,7 @@ def _cmd_duality(args, cfg: CliConfig) -> dict:
         out["formula"] = "wedge_complement_pairing"
         return out
     if op == "sym":
-        vl._check_budget(args.wdim + args.n - 1, args.n, cfg.term_budget)
+        check_budget(args.wdim + args.n - 1, args.n, cfg.term_budget)
         matrix = pdl.sym_duality_matrix(args.wdim, args.n)
         return {
             "w_dim": args.wdim,
@@ -239,7 +241,7 @@ def _cmd_duality(args, cfg: CliConfig) -> dict:
     rows = pdl.theta_rows(z_points, w_points, model)
     n = len(model)
     k = len(z_points)
-    vl._check_budget(n, k, cfg.term_budget)
+    check_budget(n, k, cfg.term_budget)
     determinant = pdl.det_exact(rows)
     alpha = pdl.wedge_coefficients(rows[:k], n, k)
     beta = pdl.wedge_coefficients(rows[k:], n, n - k)

@@ -273,6 +273,16 @@ def four_sin_squared(n: int, d: int) -> RealCycloElement:
     return RealCycloElement.from_polynomial(n, poly)
 
 
+@lru_cache(maxsize=None)
+def real_traces(n: int) -> tuple[int, ...]:
+    """Tr(theta^j), j < deg, as traces of multiplication; Tr(x) is their dot product with x."""
+    modulus = real_cyclotomic_polynomial(n)
+    deg = len(modulus) - 1
+    return tuple(
+        sum(_reduced(modulus, [0] * (i + j) + [1])[i] for i in range(deg)) for j in range(deg)
+    )
+
+
 def to_rational(x: CycloElement) -> Rational:
     """Constant coefficient of an element all of whose other coefficients vanish.
 

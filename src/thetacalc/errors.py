@@ -1,14 +1,17 @@
 """Exception hierarchy shared by all modules.
 
 Three families matter for callers (and map to CLI exit codes): bad input
-(``DomainError``, exit 2), refusal to start an oversized computation
+(``DomainError``, exit 2), an enumeration over the budget of ``check_budget``
 (``TermBudgetError``, exit 3), and violations of exactness guarantees that
 can only mean an arithmetic bug (``ArithmeticBugError``, exit 1).
 """
 
 from __future__ import annotations
 
+import math
 import sys
+
+DEFAULT_TERM_BUDGET = 200_000
 
 
 def decimal_str(value: int) -> str:
@@ -65,6 +68,14 @@ class TermBudgetError(ThetaCalcError):
         self.terms = terms
         self.budget = budget
         super().__init__(f"term budget exceeded: C({n},{k}) = {decimal_str(terms)} > {budget}")
+
+
+def check_budget(n: int, k: int, term_budget: int) -> None:
+    """Refuse C(n, k) terms above the budget; an out-of-range (n, k) is left to the domain check."""
+    if 0 <= k <= n:
+        terms = math.comb(n, k)
+        if terms > term_budget:
+            raise TermBudgetError(n, k, terms, term_budget)
 
 
 class ArithmeticBugError(ThetaCalcError):

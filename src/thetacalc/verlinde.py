@@ -9,12 +9,12 @@ genus-g curve is computed from the trigonometric sum
               prod_{s in S, t in T} (2*sin(pi*|s-t|/n))^(g-1),
 
 evaluated entirely in exact arithmetic in the real cyclotomic field
-Q(theta), theta = 2*cos(2*pi/n), of degree phi(n)/2: the partial sums
-live there, the completed sum is asserted rational, and the prefactored
-result is asserted to be a non-negative integer.  Both assertions are
-theorems, so a failure signals a bug rather than bad input.
+Q(theta), theta = 2*cos(2*pi/n), of degree D = phi(n)/2: each term lives
+there, Sigma is taken as Tr(Sigma) / D, and the prefactored result is
+asserted to be a non-negative integer.  That assertion and the Galois
+check below are theorems, so a failure signals a bug rather than bad input.
 
-Four identities of the sum cut the work without changing its value:
+Five identities of the sum cut the work without changing its value:
 
 * Fold.  2*sin(pi*d/n) = 2*sin(pi*(n-d)/n), so a subset's term depends
   only on how often each cyclic distance min(d, n-d), 1 <= d <= n//2,
@@ -30,6 +30,11 @@ Four identities of the sum cut the work without changing its value:
   2 - 2*cos(2*pi*d/n) lies in Q(theta).  At d = n/2 the factor is the
   integer 2^(e(g-1)).  A term is the (g-1)-th power of its group's base,
   the product of the factors with g-1 taken out.
+* Galois.  A unit j of Z/n maps the k'-subsets containing 0 onto
+  themselves and d to min(jd, n-jd) mod n, as the automorphism of Q(theta)
+  4*sin^2(pi*d/n) -> 4*sin^2(pi*j*d/n) does.  Groups in one orbit of the
+  units modulo +-1 have conjugate terms, one trace and one multiplicity
+  (checked), so Tr(Sigma) takes one power per orbit.
 
 The modified number vt_{r,k} = (n^g / r^g) * v_{r,k} = Sigma counts
 sections of a determinant-twisted theta bundle and is an integer as well.
@@ -45,11 +50,10 @@ from collections import Counter
 from itertools import combinations
 
 from ._frozen import Frozen
-from .cyclotomic import RealCycloElement, four_sin_squared, to_rational
+from .cyclotomic import RealCycloElement, four_sin_squared, real_traces
 from .cyclotomic import two_sin  # noqa: F401  (unused; bench/traced_cli.py reads its cache_info)
-from .errors import DomainError, NotIntegralError, TermBudgetError
-
-DEFAULT_TERM_BUDGET = 200_000
+from .errors import DEFAULT_TERM_BUDGET, ArithmeticBugError, DomainError, NotIntegralError
+from .errors import check_budget
 
 
 class VerlindeQuery(Frozen):
@@ -106,12 +110,21 @@ def _distance_exponent_groups(n: int, k: int) -> tuple[tuple[tuple[int, ...], in
     return tuple(sorted(groups.items()))
 
 
-def _check_budget(n: int, k: int, term_budget: int) -> None:
-    """Refuse C(n, k) terms above the budget; an out-of-range (n, k) is left to the domain check."""
-    if 0 <= k <= n:
-        terms = math.comb(n, k)
-        if terms > term_budget:
-            raise TermBudgetError(n, k, terms, term_budget)
+def _galois_orbits(n: int, groups) -> list[tuple[tuple[int, ...], int]]:
+    """(representative, summed multiplicity) of each orbit of the groups under the units."""
+    half = n // 2
+    units = (j for j in range(1, half + 1) if math.gcd(j, n) == 1)
+    # The image under 1/j takes the exponent at min(jd, n-jd) mod n to d.
+    moves = [[min(j * d % n, -j * d % n) - 1 for d in range(1, half + 1)] for j in units]
+    unmerged = dict(groups)
+    orbits = []
+    for vector, multiplicity in groups:
+        if vector in unmerged:
+            orbit = {tuple([vector[i] for i in move]) for move in moves}
+            if any(unmerged.pop(image, None) != multiplicity for image in orbit):
+                raise ArithmeticBugError(f"Galois check failed: orbit of {vector} (n = {n})")
+            orbits.append((vector, multiplicity * len(orbit)))
+    return orbits
 
 
 def _integral(num: int, den: int) -> int:
@@ -128,16 +141,17 @@ def verlinde_number(query: VerlindeQuery, *, term_budget: int = DEFAULT_TERM_BUD
     """Exact v_{r,k} for the given query.
 
     Raises TermBudgetError when the subset count C(r+k, k) exceeds the
-    budget, and NotRationalError / NotIntegralError if the exactness
-    guarantees of the formula fail (which would indicate a bug).
+    budget, and ArithmeticBugError (integrality or the Galois check) if an
+    exactness guarantee of the formula fails, which would indicate a bug.
     """
     r, k, g = query.rank, query.level, query.genus
     n = r + k
-    _check_budget(n, k, term_budget)
+    check_budget(n, k, term_budget)
     power = g - 1
+    traces = real_traces(n)
     factors: dict[tuple[int, int], RealCycloElement | int] = {}
-    total = RealCycloElement.zero(n)
-    for exponents, multiplicity in _distance_exponent_groups(n, k):
+    total = 0
+    for exponents, weight in _galois_orbits(n, _distance_exponent_groups(n, k)):
         base = 1
         for d, e in enumerate(exponents, start=1):
             if e:
@@ -149,8 +163,10 @@ def verlinde_number(query: VerlindeQuery, *, term_budget: int = DEFAULT_TERM_BUD
                         factor = four_sin_squared(n, d) ** (e // 2)
                     factors[(d, e)] = factor
                 base = factor * base
-        total = total + multiplicity * base**power
-    return _integral(to_rational(total) * n * r**g, min(k, r) * n**g)
+        term = base**power
+        coeffs = (term,) if isinstance(term, int) else term.coeffs
+        total += weight * sum(c * t for c, t in zip(coeffs, traces))
+    return _integral(total * n * r**g, len(traces) * min(k, r) * n**g)
 
 
 def level_one_oracle(rank: int, genus: int) -> int:

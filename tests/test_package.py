@@ -98,6 +98,18 @@ def test_mukai_query_imports_only_its_modules():
 @pytest.mark.parametrize(
     "argv",
     [
+        ["mukai", "pair", "--v=1:1,0:0", "--w=0:0,1:2"],
+        ["duality", "wedge", "3", "1"],
+        ["elliptic", "nu", "2", "3", "12", "15"],
+    ],
+)
+def test_other_queries_load_no_verlinde_modules(argv):
+    assert not {"thetacalc.verlinde", "thetacalc.cyclotomic"} & _loaded_after(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["duality", "wedge", "3", "1"],
         ["duality", "theta-vanishes", "--points", "POINTS"],
         ["mukai", "pair", "--v=1:1,0:0", "--w=0:0,1:2"],

@@ -3,15 +3,26 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import mpmath
 import pytest
 
-from thetacalc.cyclotomic import CycloElement, to_rational, two_sin
-from thetacalc.errors import DomainError, NotIntegralError, TermBudgetError
+from thetacalc import verlinde
+from thetacalc.cli import main
+from thetacalc.cyclotomic import (
+    CycloElement,
+    RealCycloElement,
+    four_sin_squared,
+    real_traces,
+    to_rational,
+    two_sin,
+)
+from thetacalc.errors import ArithmeticBugError, DomainError, NotIntegralError, TermBudgetError
 from thetacalc.verlinde import (
     VerlindeQuery,
+    _distance_exponent_groups,
     _integral,
     check_rank_level_symmetry,
     float_oracle,
@@ -74,6 +85,22 @@ def _unfolded_exact(r: int, k: int, g: int, groups: Counter[tuple[int, ...]]) ->
     return int(value)
 
 
+def _element_sums(n: int, groups, genera):
+    """Reference for the orbit sum: (g, Sigma * k'/n), each group's power added up in Q(theta)."""
+    bases = []
+    for exponents, multiplicity in groups:
+        base = RealCycloElement.one(n)
+        for d, e in enumerate(exponents, start=1):
+            if e:
+                base = base * (2**e if 2 * d == n else four_sin_squared(n, d) ** (e // 2))
+        bases.append((multiplicity, base))
+    for g in genera:
+        total = RealCycloElement.zero(n)
+        for multiplicity, base in bases:
+            total = total + multiplicity * base ** (g - 1)
+        yield g, to_rational(total)
+
+
 def _su2_fusion_count(k: int, g: int) -> int:
     """V_g = Tr(Omega^(g-1)) in the SU(2) level-k fusion ring, integers only.
 
@@ -114,6 +141,46 @@ def test_matches_unfolded_exact_sum_small():
 def test_matches_unfolded_exact_sum_large(r, k, g):
     expected = _unfolded_exact(r, k, g, _unfolded_groups(r + k, k))
     assert verlinde_number(VerlindeQuery(r, k, g)) == expected
+
+
+def test_orbit_sum_matches_element_sum(monkeypatch):
+    """One power per Galois orbit gives the integers of one power per distance group."""
+    groups = lru_cache(maxsize=None)(_distance_exponent_groups)
+    # v_{r,k} and v_{k,r} share their groups: compute them once per (n, k')
+    monkeypatch.setattr(
+        verlinde, "_distance_exponent_groups", lambda n, k: groups(n, min(k, n - k))
+    )
+    for n in range(2, 17):
+        for kp in range(1, n // 2 + 1):
+            for g, partial in _element_sums(n, groups(n, kp), (2, 3, 7, 30)):
+                for k in {kp, n - kp}:
+                    if math.comb(n, k) <= 20_000:
+                        expected = _integral(partial * n * (n - k) ** g, kp * n**g)
+                        assert verlinde_number(VerlindeQuery(n - k, k, g)) == expected
+
+
+def test_real_traces_are_sums_over_conjugates():
+    for n in range(2, 41):
+        units = [a for a in range(1, n // 2 + 1) if math.gcd(a, n) == 1]
+        traces = real_traces(n)
+        assert traces[0] == len(traces) == len(units)
+        for j, trace in enumerate(traces):
+            assert trace == round(sum((2 * math.cos(2 * math.pi * a / n)) ** j for a in units))
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [lambda groups: groups[1:], lambda groups: ((groups[0][0], groups[0][1] + 1), *groups[1:])],
+    ids=["missing-group", "other-multiplicity"],
+)
+def test_galois_check_can_fail(monkeypatch, capsys, corrupt):
+    """An orbit that is not made of whole groups of one multiplicity is a bug: exit 1."""
+    groups = _distance_exponent_groups
+    monkeypatch.setattr(verlinde, "_distance_exponent_groups", lambda n, k: corrupt(groups(n, k)))
+    with pytest.raises(ArithmeticBugError, match="Galois check failed"):
+        verlinde_number(VerlindeQuery(4, 9, 2))
+    assert main(["verlinde", "4", "9", "2"]) == 1
+    assert "Galois check failed" in capsys.readouterr().err
 
 
 def test_su2_fusion_ring_oracle():
