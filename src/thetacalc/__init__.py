@@ -19,7 +19,6 @@ _EXPORTS = {
     "cyclotomic": (
         "CycloElement",
         "cyclotomic_polynomial",
-        "root_of_unity",
         "to_rational",
         "two_sin",
     ),

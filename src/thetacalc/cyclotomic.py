@@ -1,34 +1,19 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_m) and their real subfields.
+"""Exact arithmetic in the real cyclotomic fields Q(theta), theta = 2*cos(2*pi/n).
 
-An element is a coordinate vector over a power basis, reduced modulo a
-monic integer polynomial that its class supplies:
+An element is a coordinate vector over 1, theta, ..., theta^(deg-1),
+reduced modulo psi_n, the minimal polynomial of theta, which is derived
+from the cyclotomic polynomial Phi_n; deg is half the Euler totient of n
+(1 for n <= 2).  Coordinates are exact rationals, kept as Python ints where
+they are integers, as every sine and cosine value is, so the hot multiply
+never touches Fraction, and this module does not import it.
 
-* ``CycloElement`` lives in Q(zeta_m), over 1, zeta, ..., zeta^(deg-1)
-  modulo the m-th cyclotomic polynomial Phi_m; deg is the Euler totient
-  of m.
-* ``RealCycloElement`` lives in the real subfield Q(zeta_n)^+ = Q(theta),
-  theta = 2*cos(2*pi/n), over 1, theta, ..., theta^(deg-1) modulo psi_n,
-  the minimal polynomial of theta; deg is half the totient of n (1 for
-  n <= 2).
+With D_j the Dickson polynomials (D_0 = 2, D_1 = x, D_{j+1} = x*D_j - D_{j-1},
+so that D_j(2*cos(t)) = 2*cos(j*t)), the sines of the Verlinde sum are
 
-Both share one multiply, reduce and power routine.  Coordinates are exact
-rationals; integer coordinates are kept as Python ints, which is what
-every root of unity and every sine value produces, so the hot
-multiplication path never touches Fraction, and this module does not
-import it.
+    4*sin^2(pi*d/n) = 2 - D_d(theta_n)                          (four_sin_squared),
+    2*sin(pi*d/n)   = 2*cos(2*pi*(n-2d)/(4n)) = D_|n-2d|(theta_{4n})   (two_sin),
 
-The Verlinde sum needs the real quantities 4*sin^2(pi*d/n), which lie in
-the real subfield: with D_d the Dickson polynomials (D_0 = 2, D_1 = x,
-D_{j+1} = x*D_j - D_{j-1}, so that zeta^j + zeta^(-j) = D_j(theta)),
-
-    4*sin^2(pi*d/n) = 2 - 2*cos(2*pi*d/n) = 2 - D_d(theta).
-
-``two_sin`` gives 2*sin(pi*d/n) itself, which needs the larger field
-Q(zeta_{4n}): with zeta = zeta_{4n} and i = zeta^n,
-
-    2*sin(pi*d/n) = -i * (zeta^(2d) - zeta^(-2d)) = zeta^(3n+2d) + zeta^(n-2d),
-
-which is totally real and positive for 1 <= d <= n-1.
+both totally real and positive for 1 <= d <= n-1.
 """
 
 from __future__ import annotations
@@ -127,18 +112,16 @@ def _reduced(modulus: tuple[int, ...], vec: list[Rational]) -> tuple[Rational, .
 
 
 class CycloElement(Frozen):
-    """Immutable element of Q(zeta_m) in reduced power-basis coordinates.
+    """Immutable element of Q(theta), theta = 2*cos(2*pi/n), over 1, theta, theta^2, ...
 
-    ``modulus(order)`` is the monic integer polynomial the coordinates are
-    reduced by; a subclass supplies its own and shares all arithmetic.
-    Elements of different classes or orders do not mix.
+    The order is n; coordinates are reduced modulo psi_n.  Elements of
+    different orders do not mix.
     """
 
     __slots__ = ("order", "coeffs")
-    modulus = staticmethod(cyclotomic_polynomial)
 
     def __init__(self, order: int, coeffs: tuple[Rational, ...]):
-        deg = len(self.modulus(order)) - 1
+        deg = len(real_cyclotomic_polynomial(order)) - 1
         if len(coeffs) != deg:
             raise DomainError(
                 f"coefficient vector has length {len(coeffs)}, "
@@ -150,59 +133,22 @@ class CycloElement(Frozen):
     @classmethod
     def from_polynomial(cls, order: int, coeffs) -> "CycloElement":
         """Build an element from an arbitrary-length coefficient vector, reducing it."""
-        return cls(order, _reduced(cls.modulus(order), list(coeffs)))
-
-    @classmethod
-    def zero(cls, order: int) -> "CycloElement":
-        return cls.from_rational(order, 0)
+        return cls(order, _reduced(real_cyclotomic_polynomial(order), list(coeffs)))
 
     @classmethod
     def one(cls, order: int) -> "CycloElement":
-        return cls.from_rational(order, 1)
-
-    @classmethod
-    def from_rational(cls, order: int, value: Rational) -> "CycloElement":
-        return cls(order, (value,) + (0,) * (len(cls.modulus(order)) - 2))
+        return cls(order, (1,) + (0,) * (len(real_cyclotomic_polynomial(order)) - 2))
 
     def _check_order(self, other: "CycloElement") -> None:
-        if type(other) is not type(self):
-            raise DomainError(
-                f"cannot mix {type(self).__name__} and {type(other).__name__}"
-            )
         if self.order != other.order:
             raise DomainError(
                 f"order mismatch: {self.order} vs {other.order}"
             )
 
-    def __add__(self, other):
-        if isinstance(other, Rational):
-            other = self.from_rational(self.order, other)
-        if not isinstance(other, CycloElement):
-            return NotImplemented
-        self._check_order(other)
-        return type(self)(
-            self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return type(self)(self.order, tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other):
-        if isinstance(other, Rational):
-            other = self.from_rational(self.order, other)
-        if not isinstance(other, CycloElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if not isinstance(other, CycloElement):
             if isinstance(other, Rational):
-                return type(self)(self.order, tuple(a * other for a in self.coeffs))
+                return CycloElement(self.order, tuple(a * other for a in self.coeffs))
             return NotImplemented
         self._check_order(other)
         a, b = self.coeffs, other.coeffs
@@ -212,7 +158,7 @@ class CycloElement(Frozen):
                 for j, bj in enumerate(b):
                     if bj:
                         conv[i + j] += ai * bj
-        return type(self)(self.order, _reduced(self.modulus(self.order), conv))
+        return CycloElement(self.order, _reduced(real_cyclotomic_polynomial(self.order), conv))
 
     __rmul__ = __mul__
 
@@ -233,44 +179,26 @@ class CycloElement(Frozen):
             base = base * base
 
 
-class RealCycloElement(CycloElement):
-    """Immutable element of Q(theta), theta = 2*cos(2*pi/n), over 1, theta, theta^2, ...
-
-    The order is n; coordinates are reduced modulo psi_n.
-    """
-
-    __slots__ = ()
-    modulus = staticmethod(real_cyclotomic_polynomial)
-
-
-def root_of_unity(m: int, e: int) -> CycloElement:
-    """zeta_m^e, reduced; the exponent is taken modulo m."""
-    if m < 1:
-        raise DomainError("root-of-unity order must be >= 1")
-    e %= m
-    return CycloElement.from_polynomial(m, [0] * e + [1])
-
-
 @lru_cache(maxsize=None)
 def two_sin(n: int, d: int) -> CycloElement:
-    """The element of Q(zeta_{4n}) equal to 2*sin(pi*d/n), for 1 <= d <= n-1.
+    """The element D_|n-2d|(theta_{4n}) equal to 2*sin(pi*d/n), for 1 <= d <= n-1.
 
     Memoized: the same sine factors are reused across every subset term of
     a sum over subsets for a fixed n.
     """
     if not 1 <= d <= n - 1:
         raise DomainError(f"two_sin requires 1 <= d <= n-1, got d={d}, n={n}")
-    m = 4 * n
-    return root_of_unity(m, 3 * n + 2 * d) + root_of_unity(m, n - 2 * d)
+    j = abs(n - 2 * d)
+    return CycloElement.from_polynomial(4 * n, _dickson(j + 1)[j])
 
 
-def four_sin_squared(n: int, d: int) -> RealCycloElement:
+def four_sin_squared(n: int, d: int) -> CycloElement:
     """The element of Q(2*cos(2*pi/n)) equal to 4*sin^2(pi*d/n) = 2 - D_d(theta), 1 <= d <= n-1."""
     if not 1 <= d <= n - 1:
         raise DomainError(f"four_sin_squared requires 1 <= d <= n-1, got d={d}, n={n}")
     poly = [-c for c in _dickson(d + 1)[d]]
     poly[0] += 2
-    return RealCycloElement.from_polynomial(n, poly)
+    return CycloElement.from_polynomial(n, poly)
 
 
 @lru_cache(maxsize=None)

@@ -50,7 +50,7 @@ from collections import Counter
 from itertools import combinations
 
 from ._frozen import Frozen
-from .cyclotomic import RealCycloElement, four_sin_squared, real_traces
+from .cyclotomic import CycloElement, four_sin_squared, real_traces
 from .cyclotomic import two_sin  # noqa: F401  (unused; bench/traced_cli.py reads its cache_info)
 from .errors import DEFAULT_TERM_BUDGET, ArithmeticBugError, DomainError, NotIntegralError
 from .errors import check_budget
@@ -149,7 +149,7 @@ def verlinde_number(query: VerlindeQuery, *, term_budget: int = DEFAULT_TERM_BUD
     check_budget(n, k, term_budget)
     power = g - 1
     traces = real_traces(n)
-    factors: dict[tuple[int, int], RealCycloElement | int] = {}
+    factors: dict[tuple[int, int], CycloElement | int] = {}
     total = 0
     for exponents, weight in _galois_orbits(n, _distance_exponent_groups(n, k)):
         base = 1

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
-from itertools import combinations
+from collections import Counter
+from functools import lru_cache
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
@@ -20,6 +22,93 @@ def subsets_colex(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     without a sort.
     """
     return tuple(s[::-1] for s in reversed(list(combinations(range(n, 0, -1), k))))
+
+
+@lru_cache(maxsize=None)
+def _gl_weights(shape: tuple[int, ...]) -> Counter[tuple[int, ...]]:
+    """Weights of the GL(r) module of highest weight ``shape``, r = len(shape), with multiplicities.
+
+    These are the contents of the semistandard tableaux of that shape,
+    counted through Gelfand-Tsetlin patterns: the module restricts to
+    GL(r-1) as the sum over the shapes that interlace ``shape``, and the
+    last entry of a weight is what the inner shape leaves of |shape|.
+    """
+    if len(shape) == 1:
+        return Counter({shape: 1})
+    weights: Counter[tuple[int, ...]] = Counter()
+    for inner in product(*(range(shape[i + 1], shape[i] + 1) for i in range(len(shape) - 1))):
+        last = sum(shape) - sum(inner)
+        for weight, multiplicity in _gl_weights(inner).items():
+            weights[weight + (last,)] += multiplicity
+    return weights
+
+
+def _to_alcove(beta: list[int], n: int) -> tuple[int, tuple[int, ...] | None]:
+    """(sign, weight) of the affine Weyl image of a rho-shifted weight in the level alcove.
+
+    The affine Weyl group of SU(r) at shifted level n acts on beta by
+    permutations and by the reflection beta_1 - beta_r -> 2n - (beta_1 -
+    beta_r).  Returns (0, None) for a weight on a wall, otherwise the
+    image's highest weight as a partition ending in 0, with the sign of the
+    Weyl element.
+    """
+    sign = 1
+    while True:
+        for i, b in enumerate(beta):
+            for c in beta[i + 1 :]:
+                if b == c:
+                    return 0, None
+                if b < c:
+                    sign = -sign
+        beta = sorted(beta, reverse=True)
+        spread = beta[0] - beta[-1]
+        if spread == n:
+            return 0, None
+        if spread < n:
+            return sign, tuple(b - beta[-1] - (len(beta) - 1 - i) for i, b in enumerate(beta))
+        beta[0], beta[-1] = beta[-1] + n, beta[0] - n
+        sign = -sign
+
+
+@lru_cache(maxsize=None)
+def _fusion_omega(r: int, k: int) -> list[list[int]]:
+    """Omega = sum over mu of N_mu N_mu^T in the SU(r) level-k fusion ring, integers only.
+
+    The level-k weights are the partitions with r parts, last part 0 and
+    first part <= k: C(r+k-1, r-1) of them.  (N_mu)_{lambda,nu} is the
+    Kac-Walton fusion coefficient: the Racah-Speiser sum over the weights
+    eta of V_mu of lambda + eta + rho, each moved into the alcove at shifted
+    level r+k with its sign.
+    """
+    weights = [
+        (*sorted(parts, reverse=True), 0)
+        for parts in combinations_with_replacement(range(k + 1), r - 1)
+    ]
+    index = {weight: i for i, weight in enumerate(weights)}
+    rho = range(r - 1, -1, -1)
+    size = len(weights)
+    omega = [[0] * size for _ in range(size)]
+    for mu in weights:
+        fusion = [[0] * size for _ in range(size)]
+        for eta, multiplicity in _gl_weights(mu).items():
+            for i, lam in enumerate(weights):
+                sign, nu = _to_alcove([a + b + c for a, b, c in zip(lam, eta, rho)], r + k)
+                if sign:
+                    fusion[i][index[nu]] += sign * multiplicity
+        for i in range(size):
+            for j in range(size):
+                omega[i][j] += sum(a * b for a, b in zip(fusion[i], fusion[j]))
+    return omega
+
+
+def fusion_count(r: int, k: int, g: int) -> int:
+    """V_g = Tr(Omega^(g-1)) for SU(r) at level k: shares nothing with the trigonometric sum."""
+    omega = _fusion_omega(r, k)
+    size = range(len(omega))
+    power = [[int(i == j) for j in size] for i in size]
+    for _ in range(g - 1):
+        power = [[sum(power[i][m] * omega[m][j] for m in size) for j in size] for i in size]
+    return sum(power[i][i] for i in size)
 
 
 @pytest.fixture(scope="session")

@@ -24,7 +24,7 @@ from thetacalc.verlinde import (
     verlinde_number,
 )
 
-from conftest import GRID_GENERA, GRID_SUM_MAX, subsets_colex
+from conftest import GRID_GENERA, GRID_SUM_MAX, fusion_count, subsets_colex
 
 
 def _report(number: int, description: str, failures: list[str]):
@@ -73,10 +73,21 @@ def test_criterion_03_rank_level_symmetry():
             failures.append(f"symmetry fails at ({r},{k},{g})")
         if modified_verlinde(VerlindeQuery(r, k, g)) != modified_verlinde(VerlindeQuery(k, r, g)):
             failures.append(f"modified symmetry fails at ({r},{k},{g})")
+    # The same duality between two fusion-ring counts, which share no formula.
+    for n in range(2, 9):
+        for r in range(1, n):
+            for g in range(2, 5):
+                if fusion_count(r, n - r, g) * (n - r) ** g != fusion_count(n - r, r, g) * r**g:
+                    failures.append(f"fusion symmetry fails at ({r},{n - r},{g})")
     elapsed = time.perf_counter() - start
     if elapsed >= 120:
         failures.append(f"took {elapsed:.1f}s >= 120s")
-    _report(3, f"v(r,k)*k^g = v(k,r)*r^g on r+k<=10, g<=5 ({elapsed:.2f}s)", failures)
+    _report(
+        3,
+        f"v(r,k)*k^g = v(k,r)*r^g on r+k<=10, g<=5, and for fusion counts on r+k<=8, g<=4 "
+        f"({elapsed:.2f}s)",
+        failures,
+    )
 
 
 def test_criterion_04_integrality_battery(verlinde_grid):

@@ -10,11 +10,9 @@ import pytest
 
 from thetacalc.cyclotomic import (
     CycloElement,
-    RealCycloElement,
     cyclotomic_polynomial,
     four_sin_squared,
     real_cyclotomic_polynomial,
-    root_of_unity,
     to_rational,
     two_sin,
 )
@@ -44,26 +42,6 @@ def test_cyclotomic_product_recovers_x_m_minus_one():
         assert product == [-1] + [0] * (m - 1) + [1]
 
 
-def test_root_of_unity_is_i_for_order_four():
-    assert root_of_unity(4, 1).coeffs == (0, 1)
-
-
-def test_root_of_unity_order_one():
-    assert to_rational(root_of_unity(1, 5)) == 1
-
-
-def test_primitive_fifth_roots_sum_to_moebius_value():
-    total = CycloElement.zero(5)
-    for e in range(1, 5):
-        total = total + root_of_unity(5, e)
-    assert to_rational(total) == -1
-
-
-def test_exponent_taken_mod_order():
-    assert root_of_unity(12, 25) == root_of_unity(12, 1)
-    assert root_of_unity(12, -1) == root_of_unity(12, 11)
-
-
 def test_two_sin_values():
     assert to_rational(two_sin(4, 2)) == 2
     assert to_rational(two_sin(4, 1) ** 2) == 2
@@ -78,19 +56,13 @@ def test_two_sin_domain_errors():
 
 
 def test_to_rational_constant():
-    element = CycloElement.from_rational(7, Fraction(7, 3))
+    element = CycloElement(7, (Fraction(7, 3), 0, 0))
     value = to_rational(element)
     assert value == Fraction(7, 3) and type(value) is Fraction
-    value = to_rational(CycloElement.from_rational(7, -4))
+    value = to_rational(CycloElement.one(7) * -4)
     assert value == -4 and type(value) is int
     with pytest.raises(NotRationalError):
-        to_rational(root_of_unity(7, 1))
-
-
-def test_to_rational_rejects_imaginary_unit():
-    with pytest.raises(NotRationalError) as info:
-        to_rational(root_of_unity(4, 1))
-    assert info.value.index == 1
+        to_rational(CycloElement(7, (0, 1, 0)))
 
 
 def test_to_rational_fourth_power_of_sqrt2():
@@ -103,6 +75,17 @@ def test_two_sin_symmetric_about_midpoint(n):
         assert two_sin(n, d) == two_sin(n, n - d)
 
 
+def test_two_sin_is_the_sine():
+    # Evaluating the power basis at theta cancels up to about 20 digits at n = 40.
+    with mpmath.workdps(80):
+        for n in range(2, 41):
+            for d in range(1, n):
+                element = two_sin(n, d)
+                assert element.order == 4 * n
+                expected = 2 * mpmath.sinpi(mpmath.mpf(d) / n)
+                assert abs(_value_at_theta(element) - expected) < mpmath.mpf(10) ** -40
+
+
 @pytest.mark.parametrize("n", range(2, 13))
 def test_full_sine_product_equals_n(n):
     product = CycloElement.one(4 * n)
@@ -112,7 +95,7 @@ def test_full_sine_product_equals_n(n):
 
 
 def _random_element(rng: random.Random, m: int) -> CycloElement:
-    deg = len(cyclotomic_polynomial(m)) - 1
+    deg = len(real_cyclotomic_polynomial(m)) - 1
     coeffs = tuple(
         Fraction(rng.randint(-6, 6), rng.randint(1, 4)) if rng.random() < 0.5 else rng.randint(-6, 6)
         for _ in range(deg)
@@ -120,16 +103,19 @@ def _random_element(rng: random.Random, m: int) -> CycloElement:
     return CycloElement(m, coeffs)
 
 
-@pytest.mark.parametrize("m", [5, 8, 12, 20])
+def _add(a: CycloElement, b: CycloElement) -> CycloElement:
+    return CycloElement(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+
+
+@pytest.mark.parametrize("m", [5, 8, 12, 20, 13])
 def test_ring_axioms_on_random_triples(m):
     rng = random.Random(1000 + m)
     for _ in range(25):
         a, b, c = (_random_element(rng, m) for _ in range(3))
-        assert a + b == b + a
         assert a * b == b * a
-        assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
+        assert a * _add(b, c) == _add(a * b, a * c)
+        assert a * 1 == 1 * a == a * CycloElement.one(m) == a
 
 
 def test_reduction_is_idempotent():
@@ -140,10 +126,12 @@ def test_reduction_is_idempotent():
             assert CycloElement.from_polynomial(m, element.coeffs) == element
 
 
-def test_reduction_of_full_power_is_one():
-    for m in (4, 5, 12):
-        raw = [0] * m + [1]  # x^m
-        assert CycloElement.from_polynomial(m, raw) == CycloElement.one(m)
+def test_reduction_of_the_modulus_is_zero():
+    for m in (4, 5, 12, 13):
+        psi = real_cyclotomic_polynomial(m)
+        zero = CycloElement.one(m) * 0
+        assert CycloElement.from_polynomial(m, psi) == zero
+        assert CycloElement.from_polynomial(m, [0, 0, *psi]) == zero  # theta^2 * psi
 
 
 def test_pow_matches_repeated_multiplication():
@@ -156,16 +144,16 @@ def test_pow_matches_repeated_multiplication():
 
 
 def test_order_mismatch_rejected():
-    with pytest.raises(DomainError):
-        root_of_unity(4, 1) + root_of_unity(8, 1)
-    with pytest.raises(DomainError):
-        root_of_unity(4, 1) * root_of_unity(8, 1)
+    with pytest.raises(DomainError, match="order mismatch: 5 vs 7"):
+        CycloElement(5, (0, 1)) * CycloElement(7, (0, 1, 0))
+    with pytest.raises(DomainError, match="order mismatch: 16 vs 12"):
+        two_sin(4, 1) * two_sin(3, 1)
 
 
 def test_scalar_arithmetic():
     x = two_sin(4, 1)
     assert to_rational(x * Fraction(1, 2) * x) == 1
-    assert to_rational(3 * (x * x) - 4) == 2
+    assert to_rational(3 * (x * x)) == 6
     assert math.prod([x, x], start=CycloElement.one(16)) == x * x
 
 
@@ -173,7 +161,7 @@ def _theta(n: int):
     return 2 * mpmath.cos(2 * mpmath.pi / n)
 
 
-def _value_at_theta(element: RealCycloElement):
+def _value_at_theta(element: CycloElement):
     theta = _theta(element.order)
     return sum(c * theta**j for j, c in enumerate(element.coeffs))
 
@@ -201,7 +189,7 @@ def test_real_cyclotomic_polynomials_small():
 @pytest.mark.parametrize("n", range(2, 31))
 def test_four_sin_squared_product_is_n_squared(n):
     # prod_{d=1..n-1} 2*sin(pi*d/n) = n; the factors above n/2 by symmetry
-    product = RealCycloElement.one(n)
+    product = CycloElement.one(n)
     for d in range(1, n):
         product = product * four_sin_squared(n, min(d, n - d))
     assert product.coeffs == (n * n,) + (0,) * (len(product.coeffs) - 1)
@@ -221,42 +209,31 @@ def test_four_sin_squared_values(n):
 
 
 def test_theta_is_not_rational():
-    theta = RealCycloElement.from_polynomial(5, [0, 1])
+    theta = CycloElement.from_polynomial(5, [0, 1])
     with pytest.raises(NotRationalError) as info:
         to_rational(theta)
     assert (info.value.order, info.value.index) == (5, 1)
     # theta^2 + theta - 1 = 0 at n = 5
-    assert to_rational(theta * theta + theta) == 1
+    assert (theta * theta).coeffs == (1, -1)
 
 
 def test_real_elements_are_records_of_their_own_class():
-    theta = RealCycloElement(5, (0, 1))
-    assert theta != RealCycloElement(5, (1, 0))
-    assert theta != CycloElement(5, (0, 1, 0, 0))
-    assert hash(theta) == hash(RealCycloElement(5, (0, 1)))
-    assert repr(theta) == "RealCycloElement(order=5, coeffs=(0, 1))"
+    theta = CycloElement(5, (0, 1))
+    assert theta != CycloElement(5, (1, 0))
+    assert theta != CycloElement(10, (0, 1))
+    assert hash(theta) == hash(CycloElement(5, (0, 1)))
+    assert repr(theta) == "CycloElement(order=5, coeffs=(0, 1))"
     assert pickle.loads(pickle.dumps(theta)) == theta
-    assert type(theta**3) is type(theta * 2) is type(1 - theta) is RealCycloElement
+    assert type(theta**3) is type(theta * 2) is type(2 * theta) is CycloElement
     with pytest.raises(DomainError):
-        RealCycloElement(5, (0, 1, 0, 0))
-
-
-def test_real_and_full_elements_do_not_mix():
-    theta = RealCycloElement(5, (0, 1))
-    zeta = root_of_unity(5, 1)
-    with pytest.raises(DomainError):
-        theta + zeta
-    with pytest.raises(DomainError):
-        zeta * theta
-    with pytest.raises(DomainError):
-        theta * RealCycloElement(7, (0, 1, 0))
+        CycloElement(5, (0, 1, 0, 0))
 
 
 def test_power_by_squaring_edge_exponents():
-    theta = RealCycloElement(7, (0, 1, 0))
-    assert theta**0 == RealCycloElement.one(7)
+    theta = CycloElement(7, (0, 1, 0))
+    assert theta**0 == CycloElement.one(7)
     assert theta**1 == theta
-    by_hand = RealCycloElement.one(7)
+    by_hand = CycloElement.one(7)
     for e in range(12):
         assert theta**e == by_hand
         by_hand = by_hand * theta

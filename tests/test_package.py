@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import importlib.util
 import json
 import os
 import pickle
@@ -17,7 +18,7 @@ import thetacalc
 # Every name the package exports, by the module that defines it.
 EXPORTED = {
     "cyclotomic": (
-        "CycloElement cyclotomic_polynomial root_of_unity to_rational two_sin"
+        "CycloElement cyclotomic_polynomial to_rational two_sin"
     ),
     "elliptic_k3": (
         "DualityDims NormalizedVector NuResult ThetaClass "
@@ -206,6 +207,27 @@ def test_bench_tracer_runs_each_subcommand(argv, tmp_path):
     )
     assert traced.returncode == 0, traced.stderr.decode()
     assert traced.stdout == plain.stdout
+
+
+def test_bench_tracer_sees_the_cyclotomic_work(tmp_path):
+    """The tracer's per-layer counters of a Verlinde query are not all zero.
+
+    It wraps ``CycloElement.__mul__`` and ``__pow__``; if the Verlinde path
+    left that class, its multiply and power counts would read 0 while the
+    output still matched.
+    """
+    spec = importlib.util.spec_from_file_location("spans", TRACED_CLI.parent / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    env = dict(os.environ, PYTHONPATH=SRC)
+    prefix = str(tmp_path / "t")
+    argv = [sys.executable, str(TRACED_CLI), prefix, "verlinde", "7", "7", "3"]
+    subprocess.run(argv, capture_output=True, env=env, check=True)
+    meta = json.loads(Path(prefix + ".json").read_text())
+    name_ids = spans.read_spans(prefix + ".bin", meta["span_count"])[0]
+    counts = {name: name_ids.count(i) for i, name in enumerate(meta["names"])}
+    assert counts["cyclotomic.mul"] > 0 and counts["cyclotomic.pow"] > 0
+    assert meta["groups_count"] > 0 and meta["coeff_bits_max"] > 0
 
 
 def test_all_lists_every_exported_name():

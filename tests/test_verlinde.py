@@ -13,11 +13,10 @@ from thetacalc import verlinde
 from thetacalc.cli import main
 from thetacalc.cyclotomic import (
     CycloElement,
-    RealCycloElement,
+    cyclotomic_polynomial,
     four_sin_squared,
     real_traces,
     to_rational,
-    two_sin,
 )
 from thetacalc.errors import ArithmeticBugError, DomainError, NotIntegralError, TermBudgetError
 from thetacalc.verlinde import (
@@ -30,6 +29,8 @@ from thetacalc.verlinde import (
     modified_verlinde,
     verlinde_number,
 )
+
+from conftest import fusion_count
 
 
 def _naive_float(r: int, k: int, g: int) -> float:
@@ -62,25 +63,64 @@ def _unfolded_groups(n: int, k: int) -> Counter[tuple[int, ...]]:
     return groups
 
 
+def _zeta_mul(a: list[int], b: list[int], phi: tuple[int, ...]) -> list[int]:
+    """a * b in Q(zeta_m), over 1, zeta, ..., modulo the monic Phi_m."""
+    deg = len(phi) - 1
+    conv = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    conv[i + j] += ai * bj
+    lower = [(j, pj) for j, pj in enumerate(phi[:-1]) if pj]
+    for i in range(len(conv) - 1, deg - 1, -1):
+        c = conv[i]
+        if c:
+            for j, pj in lower:
+                conv[i - deg + j] -= c * pj
+    return conv[:deg] + [0] * (deg - len(conv))
+
+
+def _zeta_pow(x: list[int], e: int, phi: tuple[int, ...]) -> list[int]:
+    result = [1]
+    while e:
+        if e & 1:
+            result = _zeta_mul(result, x, phi)
+        e >>= 1
+        if e:
+            x = _zeta_mul(x, x, phi)
+    return result
+
+
+def _zeta_two_sin(n: int, d: int, phi: tuple[int, ...]) -> list[int]:
+    """2*sin(pi*d/n) = zeta^(3n+2d) + zeta^(n-2d) with zeta = zeta_{4n}, i = zeta^n."""
+    raw = [0] * (4 * n)
+    raw[(3 * n + 2 * d) % (4 * n)] += 1
+    raw[(n - 2 * d) % (4 * n)] += 1
+    return _zeta_mul(raw, [1], phi)
+
+
 def _unfolded_exact(r: int, k: int, g: int, groups: Counter[tuple[int, ...]]) -> int:
     """Reference for the exact path: no fold, no rotation, no complement.
 
-    It multiplies 2*sin(pi*d/n) in Q(zeta_{4n}), not 4*sin^2 in the real
-    subfield, so it shares neither psi_n nor the sine elements with the
-    exact path.
+    It multiplies 2*sin(pi*d/n) in the full field Q(zeta_{4n}) modulo
+    Phi_{4n}, with a multiply of its own, not 4*sin^2 in the real subfield,
+    so it shares neither psi_n nor the sine elements with the exact path.
     """
     n = r + k
-    powers: dict[tuple[int, int], CycloElement] = {}
-    total = CycloElement.zero(4 * n)
+    phi = cyclotomic_polynomial(4 * n)
+    powers: dict[tuple[int, int], list[int]] = {}
+    total = [0] * (len(phi) - 1)
     for exponents, multiplicity in groups.items():
-        term = CycloElement.one(4 * n)
+        term = [1]
         for d, e in enumerate(exponents, start=1):
             if e:
                 if (d, e) not in powers:
-                    powers[(d, e)] = two_sin(n, d) ** (e * (g - 1))
-                term = term * powers[(d, e)]
-        total = total + term * multiplicity
-    value = to_rational(total) * Fraction(r**g, n**g)
+                    powers[(d, e)] = _zeta_pow(_zeta_two_sin(n, d, phi), e * (g - 1), phi)
+                term = _zeta_mul(term, powers[(d, e)], phi)
+        total = [t + multiplicity * c for t, c in zip(total, term)]
+    assert not any(total[1:])
+    value = total[0] * Fraction(r**g, n**g)
     assert value.denominator == 1
     return int(value)
 
@@ -89,16 +129,16 @@ def _element_sums(n: int, groups, genera):
     """Reference for the orbit sum: (g, Sigma * k'/n), each group's power added up in Q(theta)."""
     bases = []
     for exponents, multiplicity in groups:
-        base = RealCycloElement.one(n)
+        base = CycloElement.one(n)
         for d, e in enumerate(exponents, start=1):
             if e:
                 base = base * (2**e if 2 * d == n else four_sin_squared(n, d) ** (e // 2))
         bases.append((multiplicity, base))
     for g in genera:
-        total = RealCycloElement.zero(n)
+        total = [0] * len(real_traces(n))
         for multiplicity, base in bases:
-            total = total + multiplicity * base ** (g - 1)
-        yield g, to_rational(total)
+            total = [t + multiplicity * c for t, c in zip(total, (base ** (g - 1)).coeffs)]
+        yield g, to_rational(CycloElement(n, tuple(total)))
 
 
 def _su2_fusion_count(k: int, g: int) -> int:
@@ -191,6 +231,30 @@ def test_su2_fusion_ring_oracle():
             assert verlinde_number(VerlindeQuery(2, k, g)) == expected
             # v_{2,k} again, now as the partner derived from v_{k,2}
             assert check_rank_level_symmetry(VerlindeQuery(k, 2, g)).partner_value == expected
+
+
+def test_fusion_count_values():
+    expected = {
+        (2, 1, 2): 4,
+        (2, 2, 2): 10,
+        (3, 2, 4): 4050,
+        (3, 3, 3): 4390,
+        (4, 3, 2): 896,
+        (5, 2, 2): 350,
+        (4, 4, 2): 4680,
+    }
+    assert {case: fusion_count(*case) for case in expected} == expected
+    for k in range(1, 6):
+        assert fusion_count(1, k, 3) == 1
+        assert fusion_count(2, k, 3) == _su2_fusion_count(k, 3)
+
+
+def test_fusion_ring_oracle():
+    """Kac-Walton fusion counts equal the exact sum for every rank, r+k <= 8 and g <= 4."""
+    for n in range(2, 9):
+        for r in range(1, n):
+            for g in range(2, 5):
+                assert verlinde_number(VerlindeQuery(r, n - r, g)) == fusion_count(r, n - r, g)
 
 
 def test_frozen_values():
