@@ -2,8 +2,8 @@
 
 ``golden/cli_corpus.jsonl`` holds one record per invocation: its argv, exit
 code, stdout and stderr.  The corpus covers every subcommand and op in all
-three formats, the domain (exit 2) and term-budget (exit 3) refusals, and a
-grid of Verlinde queries.  Help and usage errors are left out; the package
+three formats, the domain (exit 2) and term-budget (exit 3) refusals, strings
+that JSON escapes, and a grid of Verlinde queries.  Help and usage errors are left out; the package
 tests pin their argparse text.  ``THETACALC_UPDATE_GOLDEN=1`` rewrites the
 file from the current code.
 
@@ -26,6 +26,8 @@ ROOT = Path(__file__).resolve().parent.parent
 CORPUS = Path(__file__).parent / "golden" / "cli_corpus.jsonl"
 POINTS_TRUE = "tests/golden/corpus_points_true.json"
 POINTS_FALSE = "tests/golden/corpus_points_false.json"
+# A preset named with a quote, a backslash, a tab, a non-ASCII and a non-BMP character.
+CONFIG_ESCAPE = "tests/golden/corpus_config_escape.json"
 FORMATS = ((), ("--format", "markdown"), ("--format", "csv"))
 
 
@@ -54,8 +56,13 @@ def _each_op():
     yield [*ab, "mukai", "fm", "--v=3:2:1"]
     yield ["mukai", "conjecture", *k3, "--H=1,3"]
     yield ["mukai", "conjecture", *k3, "--H=2,5", "--v-effective", "--w-effective"]
-    yield ["duality", "wedge", "5", "2"]
-    yield ["duality", "wedge", "4", "0"]
+    # full-width digits, which int() reads and the json echo escapes
+    yield ["mukai", "pair", "--v=\uff11:1,0:0", "--w=0:0,1:2"]
+    yield [*ab, "mukai", "fm", "--v=\uff13:\uff12:1"]
+    yield ["--config", CONFIG_ESCAPE, "mukai", "pair", "--v=1:1:0", "--w=1:2:4"]
+    yield ["--config", CONFIG_ESCAPE, "mukai", "fm", "--v=3:2:1"]
+    for n, k in ((5, 2), (4, 0), (6, 0), (6, 6), (7, 5), (9, 4)):
+        yield ["duality", "wedge", str(n), str(k)]
     yield ["duality", "sym", "2", "3"]
     yield ["duality", "theta-vanishes", "--points", POINTS_TRUE]
     yield ["duality", "theta-vanishes", "--points", POINTS_FALSE]
