@@ -10,7 +10,6 @@ stay plain numbers.  Exit codes: 0 success, 1 internal exactness failure,
 from __future__ import annotations
 
 import io
-import json
 import os
 import sys
 from pathlib import Path
@@ -54,6 +53,8 @@ _CONFIG_TYPES = {"output_format": str, "term_budget": int, "lattice_preset": str
 def _resolve_config(args) -> CliConfig:
     cfg = CliConfig()
     if args.config:
+        import json
+
         try:
             data = json.loads(Path(args.config).read_text())
         except (OSError, ValueError) as exc:
@@ -196,20 +197,23 @@ def _cmd_duality(args, cfg: CliConfig) -> dict:
     if op == "wedge":
         check_budget(args.n, args.k, cfg.term_budget)
         matrix = pdl.wedge_duality_matrix(args.n, args.k)
-        exported = matrix.to_json_dict()
+        # Row i pairs with column size-1-i (see WedgeMatrix).
+        last = matrix.size - 1
+        entries = _Rendered(
+            "[" + ",".join([f"[{i},{last - i},{s}]" for i, s in enumerate(matrix.signs)]) + "]"
+        )
         out = {
             "n": args.n,
             "k": args.k,
             "size": _s(matrix.size),
             "index_order": "colex",
             "determinant": _s(matrix.determinant()),
-            "entries": exported["entries"],
+            "entries": entries,
         }
         if args.export:
+            exported = {"n": args.n, "k": args.k, "index_order": "colex", "entries": entries}
             try:
-                Path(args.export).write_text(
-                    json.dumps(exported, separators=(",", ":")) + "\n"
-                )
+                Path(args.export).write_text(_json_text(exported) + "\n")
             except OSError as exc:
                 raise DomainError(f"cannot write export file: {exc}")
             out["exported"] = args.export
@@ -228,6 +232,8 @@ def _cmd_duality(args, cfg: CliConfig) -> dict:
             "formula": "symmetric_power_pairing",
         }
     # theta-vanishes
+    import json
+
     try:
         data = json.loads(Path(args.points).read_text())
     except (OSError, ValueError) as exc:
@@ -479,11 +485,40 @@ def _build_parser():
     return parser
 
 
+class _Rendered(str):
+    """JSON text that is already rendered: ``_json_text`` inserts it as it is."""
+
+
+def _json_text(value) -> str:
+    """``json.dumps(value, separators=(",", ":"))`` for what the handlers build.
+
+    That is dicts with str keys, lists, tuples, str, int and bool.  Only a
+    string that is not printable ASCII without ``"`` and ``\\`` loads json.
+    """
+    if isinstance(value, str):
+        if type(value) is _Rendered:
+            return value
+        if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
+            return f'"{value}"'
+        import json
+
+        return json.dumps(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, dict):
+        return "{" + ",".join([f"{_json_text(k)}:{_json_text(v)}" for k, v in value.items()]) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join([_json_text(v) for v in value]) + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _render(out: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(out, separators=(",", ":"))
+        return _json_text(out)
     cells = [
-        (key, value if isinstance(value, str) else json.dumps(value, separators=(",", ":")))
+        (key, value if isinstance(value, str) else _json_text(value))
         for key, value in out.items()
     ]
     if fmt == "markdown":

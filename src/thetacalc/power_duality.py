@@ -24,12 +24,15 @@ from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
 
 from ._frozen import Frozen
 from .errors import ArithmeticBugError, DegenerateConfigError, DomainError
 
-Rat = int | Fraction
+# The functions that build rationals import Fraction, so that the wedge and
+# sym paths load neither fractions nor the decimal and numbers it imports.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def _colex_masks(n: int, k: int):
@@ -74,15 +77,6 @@ class WedgeMatrix(Frozen):
         """
         return -1 if (self.size // 2 + self.signs.count(-1)) % 2 else 1
 
-    def to_json_dict(self) -> dict:
-        last = self.size - 1
-        return {
-            "n": self.n,
-            "k": self.k,
-            "index_order": "colex",
-            "entries": [[i, last - i, s] for i, s in enumerate(self.signs)],
-        }
-
 
 def wedge_duality_matrix(n: int, k: int) -> WedgeMatrix:
     """Matrix of e_S (x) e_T -> coefficient of e_{1..n} in e_S ^ e_T.
@@ -117,6 +111,7 @@ def wedge_duality_matrix(n: int, k: int) -> WedgeMatrix:
 
 def pair_wedge(n: int, k: int, alpha, beta) -> Fraction:
     """Coefficient of e_{1..n} in alpha ^ beta for coefficient vectors in colex order."""
+    from fractions import Fraction
     signs = wedge_duality_matrix(n, k).signs
     size = len(signs)  # = C(n, k) = C(n, n-k), the length of beta as well
     if len(alpha) != size or len(beta) != size:
@@ -128,7 +123,7 @@ def pair_wedge(n: int, k: int, alpha, beta) -> Fraction:
     return total
 
 
-def evaluation_covector(point, model) -> tuple[Rat, ...]:
+def evaluation_covector(point, model) -> tuple[int | Fraction, ...]:
     """Values of the model monomials x^ex * y^ey at a point (x, y)."""
     x, y = point
     return tuple(x**ex * y**ey for ex, ey in model)
@@ -141,6 +136,7 @@ def _integer_rows(rows) -> tuple[list[list[int]], int]:
     multilinear function of the rows equals its value on the integer rows
     divided by that product.
     """
+    from fractions import Fraction
     int_rows = []
     scale = 1
     for row in rows:
@@ -162,6 +158,7 @@ def det_exact(rows) -> Fraction:
     bounded by Hadamard's bound for the determinant.  A remainder in one of
     those divisions is an ArithmeticBugError.
     """
+    from fractions import Fraction
     m, scale = _integer_rows(rows)
     n = len(m)
     if any(len(row) != n for row in m):
@@ -198,6 +195,7 @@ def _reduced_rows(vectors) -> tuple[list[list[Fraction]], Fraction]:
     pivot.  So f is the signed product of the pivots, and f = 0 (with R
     not fully reduced) when the rows are linearly dependent.
     """
+    from fractions import Fraction
     rows = [[Fraction(x) for x in vec] for vec in vectors]
     factor = Fraction(1)
     col = 0
@@ -238,6 +236,7 @@ def wedge_coefficients(vectors, n: int, k: int) -> tuple[Fraction, ...]:
     operations for the reduction, in place of C(n,k) separate k x k
     eliminations.
     """
+    from fractions import Fraction
     if len(vectors) != k:
         raise DomainError(f"expected {k} covectors, got {len(vectors)}")
     if k > n:
@@ -294,6 +293,7 @@ def parse_point(pair) -> tuple[Fraction, Fraction]:
     Nothing else is accepted: exponent and decimal notation would let a
     few characters stand for a number of millions of digits.
     """
+    from fractions import Fraction
     x, y = pair
     for c in (x, y):
         if isinstance(c, bool) or not (
@@ -306,13 +306,14 @@ def parse_point(pair) -> tuple[Fraction, Fraction]:
         raise DomainError(f"zero denominator in point {pair!r}") from None
 
 
-def theta_rows(z_points, w_points, model) -> list[list[Rat]]:
+def theta_rows(z_points, w_points, model) -> list[list[int | Fraction]]:
     """Evaluation matrix of Z followed by W, after checking the configuration.
 
     Raises DomainError unless |Z| + |W| equals the model size or when a
     point has a zero coordinate that a model monomial raises to a negative
     power, and DegenerateConfigError when two points coincide.
     """
+    from fractions import Fraction
     n = len(model)
     points = list(z_points) + list(w_points)
     if len(points) != n:
@@ -397,6 +398,7 @@ def incidence_form(z_points, model) -> tuple[Fraction, ...]:
     multiplying the evaluation covectors of the points of Z: evaluating it
     on a section t (see ``evaluate_sym_form``) gives prod_i t(z_i).
     """
+    from fractions import Fraction
     w_dim = len(model)
     n = len(z_points)
     poly: dict[tuple[int, ...], Fraction] = {(0,) * w_dim: Fraction(1)}
@@ -414,6 +416,7 @@ def incidence_form(z_points, model) -> tuple[Fraction, ...]:
 
 def evaluate_sym_form(coeffs, w_dim: int, degree: int, t_coeffs) -> Fraction:
     """Value of a symmetric form on the section with coefficients t_coeffs."""
+    from fractions import Fraction
     monomials = monomial_exponents(w_dim, degree)
     if len(coeffs) != len(monomials) or len(t_coeffs) != w_dim:
         raise DomainError("coefficient vector lengths do not match the monomial basis")

@@ -8,8 +8,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from thetacalc.cli import main
+from thetacalc.cli import _json_text, _Rendered, main
 from thetacalc.verlinde import VerlindeQuery, verlinde_number
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -542,6 +544,37 @@ def test_csv_format(capsys):
     lines = out.splitlines()
     assert lines[0] == "key,value"
     assert "value,4" in lines
+
+
+# Strings of any code points, lone surrogates included, and of ASCII alone.
+_chars = st.one_of(st.characters(), st.integers(0xD800, 0xDFFF).map(chr))
+_strings = st.one_of(st.text(_chars, max_size=8), st.text(st.characters(max_codepoint=0x7F)))
+_json_values = st.recursive(
+    st.one_of(st.booleans(), st.integers(), _strings),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_strings, inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(database=None, deadline=None)
+@given(_json_values)
+@example(["plain ASCII", 'a "quote"', "back\\slash", "tab\t", "del\x7f", "\x00", ""])
+@example({"\u00e9": "\U0001d542", "\ud800": ("lone", "\udfff")})
+def test_json_text_equals_compact_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, separators=(",", ":"))
+
+
+def test_json_text_inserts_rendered_text_and_refuses_other_types():
+    entries = _Rendered("[[0,1,-1],[1,0,1]]")
+    text = _json_text({"entries": entries, "rows": [entries], "name": "\u00e9"})
+    assert text == '{"entries":[[0,1,-1],[1,0,1]],"rows":[[[0,1,-1],[1,0,1]]],"name":"\\u00e9"}'
+    for value in (1.5, None, b"ab", {1, 2}, {"x": 0.5}, [range(2)]):
+        with pytest.raises(TypeError):
+            _json_text(value)
 
 
 def test_module_entry_point():

@@ -60,14 +60,19 @@ def _fresh(script: str) -> str:
 
 
 def _loaded_after(argv: list[str]) -> set[str]:
-    """Modules in sys.modules after one CLI query in a fresh interpreter."""
+    """Modules in sys.modules after one CLI query in a fresh interpreter.
+
+    The script imports json for its own output only after it has listed them.
+    """
     script = (
-        "import contextlib, io, json, sys\n"
+        "import contextlib, io, sys\n"
         "from thetacalc.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = main({argv!r})\n"
         "assert code == 0, code\n"
-        "sys.stdout.write(json.dumps(sorted(sys.modules)))\n"
+        "loaded = sorted(sys.modules)\n"
+        "import json\n"
+        "sys.stdout.write(json.dumps(loaded))\n"
     )
     return set(json.loads(_fresh(script)))
 
@@ -135,6 +140,27 @@ def test_record_queries_load_neither_dataclasses_nor_inspect(argv, tmp_path):
 )
 def test_well_formed_queries_do_not_load_argparse(argv):
     assert "argparse" not in _loaded_after(argv)
+
+
+@pytest.mark.parametrize("fmt", ["json", "markdown", "csv"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verlinde", "2", "1", "2"],
+        ["mukai", "pair", "--v=1:1,0:0", "--w=0:0,1:2"],
+        ["elliptic", "dims", "2", "2", "8", "10"],
+        ["duality", "wedge", "4", "2"],
+        ["duality", "sym", "2", "3"],
+    ],
+)
+def test_queries_do_not_load_json(argv, fmt):
+    """Output is rendered without json; only input files and escaped strings load it."""
+    assert "json" not in _loaded_after(["--format", fmt, *argv])
+
+
+@pytest.mark.parametrize("argv", [["duality", "wedge", "4", "2"], ["duality", "sym", "2", "3"]])
+def test_wedge_and_sym_queries_do_not_load_fractions(argv):
+    assert not {"fractions", "decimal", "numbers"} & _loaded_after(argv)
 
 
 USAGE = """\

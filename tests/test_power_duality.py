@@ -9,6 +9,7 @@ from itertools import permutations
 
 import pytest
 
+from thetacalc.cli import main
 from thetacalc.errors import DegenerateConfigError, DomainError
 from thetacalc.power_duality import (
     _colex_masks,
@@ -280,16 +281,18 @@ def test_incidence_form_evaluation_contract():
             assert evaluate_sym_form(coeffs, len(model), len(points), t) == expected
 
 
-def test_wedge_json_export_layout():
-    m = wedge_duality_matrix(3, 1)
-    data = m.to_json_dict()
-    assert data == {
-        "n": 3,
-        "k": 1,
-        "index_order": "colex",
-        "entries": [[0, 2, 1], [1, 1, -1], [2, 0, 1]],
-    }
-    json.dumps(data)
+@pytest.mark.parametrize("n, k", [(16, 8), (7, 5), (4, 0), (4, 4)])
+def test_wedge_json_export_layout(n, k, tmp_path, capsys):
+    """``duality wedge --export`` writes the matrix built from colex subsets and shuffle signs."""
+    target = tmp_path / "m.json"
+    assert main(["duality", "wedge", str(n), str(k), "--export", str(target)]) == 0
+    cols = {t: j for j, t in enumerate(subsets_colex(n, n - k))}
+    entries = [
+        [i, cols[_complement(n, s)], _shuffle_sign(s)] for i, s in enumerate(subsets_colex(n, k))
+    ]
+    expected = {"n": n, "k": k, "index_order": "colex", "entries": entries}
+    assert target.read_text() == json.dumps(expected, separators=(",", ":")) + "\n"
+    assert json.loads(capsys.readouterr().out)["entries"] == entries
 
 
 def test_point_parsing_errors():
