@@ -4,7 +4,8 @@ Every computation is exposed as a subcommand with deterministic output in
 json (default), markdown or csv form.  Computed integers are serialized
 as decimal strings so arbitrary precision survives JSON; echoed inputs
 stay plain numbers.  Exit codes: 0 success, 1 internal exactness failure,
-2 domain error, 3 term-budget refusal, 64 usage error.
+2 domain error or output that cannot be written, 3 term-budget refusal, 64
+usage error.
 """
 
 from __future__ import annotations
@@ -558,12 +559,29 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(_render(out, cfg.output_format))
+    try:
+        print(_render(out, cfg.output_format))
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 
 def run() -> None:
-    raise SystemExit(main())
+    """Run ``main``, flush the open streams and skip teardown with ``os._exit``.
+
+    A failed write to stdout was reported by ``main``, so it is not reported again.
+    """
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            try:
+                stream.flush()
+            except OSError:
+                pass
+    os._exit(code)
 
 
 if __name__ == "__main__":

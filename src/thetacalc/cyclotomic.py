@@ -19,10 +19,15 @@ both totally real and positive for 1 <= d <= n-1.
 from __future__ import annotations
 
 from functools import lru_cache
-from numbers import Rational
 
 from ._frozen import Frozen
 from .errors import DomainError, NotRationalError
+
+# __mul__ imports Rational only for a scalar that is not an int, so that the
+# Verlinde path does not load numbers.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from numbers import Rational
 
 
 def _divexact(num: list[int], den: tuple[int, ...]) -> list[int]:
@@ -147,9 +152,12 @@ class CycloElement(Frozen):
 
     def __mul__(self, other):
         if not isinstance(other, CycloElement):
-            if isinstance(other, Rational):
-                return CycloElement(self.order, tuple(a * other for a in self.coeffs))
-            return NotImplemented
+            if not isinstance(other, int):
+                from numbers import Rational
+
+                if not isinstance(other, Rational):
+                    return NotImplemented
+            return CycloElement(self.order, tuple(a * other for a in self.coeffs))
         self._check_order(other)
         a, b = self.coeffs, other.coeffs
         conv: list[Rational] = [0] * (len(a) + len(b) - 1)

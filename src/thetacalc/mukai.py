@@ -19,7 +19,6 @@ Conventions fixed here once:
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from ._frozen import Frozen
 from .errors import DomainError, LatticeMismatchError, NotIntegralError
@@ -235,6 +234,8 @@ def chi_abelian(v: MukaiVector, w: MukaiVector, variant: str) -> int:
         raise DomainError(f"dv + dw must be >= 3, got {a + b}")
     if a < 1:
         return 0  # C(a+b-2, a-1) vanishes; math.comb refuses a negative lower index
+    from fractions import Fraction  # only here, so other queries do not load it
+
     binom = math.comb(a + b - 2, a - 1)
     if variant == "albanese_plus":
         value = Fraction(c1_tensor(v, w).self_intersection * binom, 2 * (a + b - 2))

@@ -155,6 +155,8 @@ def test_scalar_arithmetic():
     assert to_rational(x * Fraction(1, 2) * x) == 1
     assert to_rational(3 * (x * x)) == 6
     assert math.prod([x, x], start=CycloElement.one(16)) == x * x
+    with pytest.raises(TypeError):
+        x * 0.5  # a float is not an exact scalar
 
 
 def _theta(n: int):

@@ -91,6 +91,7 @@ def test_verlinde_query_imports_only_its_modules():
         "locale",
         "fractions",
         "decimal",
+        "numbers",
     }
     assert not unwanted & loaded
 
@@ -158,8 +159,18 @@ def test_queries_do_not_load_json(argv, fmt):
     assert "json" not in _loaded_after(["--format", fmt, *argv])
 
 
-@pytest.mark.parametrize("argv", [["duality", "wedge", "4", "2"], ["duality", "sym", "2", "3"]])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["duality", "wedge", "4", "2"],
+        ["duality", "sym", "2", "3"],
+        ["mukai", "pair", "--v=1:0,1:-1", "--w=2:1,3:-1"],
+        ["mukai", "chi-k3", "--v=1:0,1:-1", "--w=2:1,3:-1"],
+        ["elliptic", "dims", "2", "2", "8", "10"],
+    ],
+)
 def test_wedge_and_sym_queries_do_not_load_fractions(argv):
+    """Only the handlers that build rationals load fractions (and decimal and numbers)."""
     assert not {"fractions", "decimal", "numbers"} & _loaded_after(argv)
 
 
