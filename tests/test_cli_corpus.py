@@ -26,6 +26,18 @@ ROOT = Path(__file__).resolve().parent.parent
 CORPUS = Path(__file__).parent / "golden" / "cli_corpus.jsonl"
 POINTS_TRUE = "tests/golden/corpus_points_true.json"
 POINTS_FALSE = "tests/golden/corpus_points_false.json"
+# Points files of the theta path: non-reduced and zero-padded coordinates, a
+# Laurent model, Z empty (k = 0) and W empty (k = n), a rank-deficient Z, and
+# a coordinate of 4,300 digits, the most that Python reads as an int.
+POINTS_ACCEPTED = tuple(
+    f"tests/golden/corpus_points_{name}.json"
+    for name in ("forms", "laurent", "z_empty", "w_empty", "rank_deficient", "long")
+)
+# "1" next to "1/1" (coincident), a pole of a Laurent monomial, and a
+# coordinate of 4,301 digits.
+POINTS_REFUSED = tuple(
+    f"tests/golden/corpus_points_{name}.json" for name in ("repeat", "pole", "too_long")
+)
 # A preset named with a quote, a backslash, a tab, a non-ASCII and a non-BMP character.
 CONFIG_ESCAPE = "tests/golden/corpus_config_escape.json"
 FORMATS = ((), ("--format", "markdown"), ("--format", "csv"))
@@ -66,6 +78,8 @@ def _each_op():
     yield ["duality", "sym", "2", "3"]
     yield ["duality", "theta-vanishes", "--points", POINTS_TRUE]
     yield ["duality", "theta-vanishes", "--points", POINTS_FALSE]
+    for points in POINTS_ACCEPTED:
+        yield ["duality", "theta-vanishes", "--points", points]
     yield ["elliptic", "normalize", "3", "7", "-1"]
     yield ["elliptic", "nu", "2", "3", "12", "15"]
     yield ["elliptic", "theta-class", "2", "3", "12", "15"]
@@ -84,6 +98,8 @@ def _refusals():
     yield ["mukai", "pair", "--v=1:1:0", "--w=1:0,0:0"]
     yield ["mukai", "pair", "--v=1:x,0:0", "--w=1:0,0:0"]
     yield ["duality", "theta-vanishes", "--points", "tests/golden/no_such_points.json"]
+    for points in POINTS_REFUSED:
+        yield ["duality", "theta-vanishes", "--points", points]
     yield ["--config", "tests/golden/no_such_config.json", "verlinde", "2", "1", "2"]
     yield ["elliptic", "nu", "2", "2", "10", "10"]
     yield ["elliptic", "nu", "1", "2", "1", "5"]
