@@ -13,6 +13,7 @@ from __future__ import annotations
 import io
 import os
 import sys
+from itertools import chain, repeat
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -40,12 +41,6 @@ class _UsageError(Exception):
     def __init__(self, parser, message: str):
         super().__init__(message)
         self.parser = parser
-
-
-def _frac(value) -> str:
-    if value.denominator == 1:
-        return _s(value.numerator)
-    return f"{_s(value.numerator)}/{_s(value.denominator)}"
 
 
 _CONFIG_TYPES = {"output_format": str, "term_budget": int, "lattice_preset": str, "precision": int}
@@ -191,6 +186,9 @@ def _cmd_mukai(args, cfg: CliConfig) -> dict:
     return out
 
 
+_ENTRY_TAIL = {1: ",1],[", -1: ",-1],["}
+
+
 def _cmd_duality(args, cfg: CliConfig) -> dict:
     from . import power_duality as pdl
 
@@ -198,11 +196,13 @@ def _cmd_duality(args, cfg: CliConfig) -> dict:
     if op == "wedge":
         check_budget(args.n, args.k, cfg.term_budget)
         matrix = pdl.wedge_duality_matrix(args.n, args.k)
-        # Row i pairs with column size-1-i (see WedgeMatrix).
-        last = matrix.size - 1
-        entries = _Rendered(
-            "[" + ",".join([f"[{i},{last - i},{s}]" for i, s in enumerate(matrix.signs)]) + "]"
-        )
+        # Row i pairs with column size-1-i (see WedgeMatrix).  The text is
+        # joined in C from the pieces "i", ",", "size-1-i" and ",s],[" of
+        # each entry; the last entry's "," and "[" are cut off.
+        index = list(map(str, range(matrix.size)))
+        tails = map(_ENTRY_TAIL.__getitem__, matrix.signs)
+        body = "".join(chain.from_iterable(zip(index, repeat(","), reversed(index), tails)))
+        entries = _Rendered("[[" + body[:-2] + "]")
         out = {
             "n": args.n,
             "k": args.k,
@@ -241,25 +241,27 @@ def _cmd_duality(args, cfg: CliConfig) -> dict:
         raise DomainError(f"cannot read points file: {exc}")
     try:
         model = pdl.parse_model(data["model"])
-        z_points = [pdl.parse_point(p) for p in data["Z"]]
-        w_points = [pdl.parse_point(p) for p in data["W"]]
+        z_points = [pdl.parse_ratios(p) for p in data["Z"]]
+        w_points = [pdl.parse_ratios(p) for p in data["W"]]
     except (KeyError, ValueError, TypeError) as exc:
         raise DomainError(f"malformed points file: {exc}")
-    rows = pdl.theta_rows(z_points, w_points, model)
+    rows, scale = pdl.theta_integer_rows(z_points, w_points, model)
     n = len(model)
     k = len(z_points)
     check_budget(n, k, cfg.term_budget)
-    determinant = pdl.det_exact(rows)
-    alpha = pdl.wedge_coefficients(rows[:k], n, k)
-    beta = pdl.wedge_coefficients(rows[k:], n, n - k)
-    pairing = pdl.pair_wedge(n, k, alpha, beta)
+    # Both values are integers over the scale of the rows, the pairing also
+    # over the scales of the two wedges; each is reduced once, by one gcd.
+    determinant = pdl.reduced(pdl.bareiss_det(rows), scale)
+    alpha, z_num, z_den = pdl.integer_wedge(rows[:k], n)
+    beta, w_num, w_den = pdl.integer_wedge(rows[k:], n)
+    pairing = pdl.reduced(pdl.laplace_sum(n, k, alpha, beta) * z_num * w_num, z_den * w_den * scale)
     return {
         "model": [list(e) for e in model],
-        "Z": [[_frac(x), _frac(y)] for x, y in z_points],
-        "W": [[_frac(x), _frac(y)] for x, y in w_points],
-        "vanishes": determinant == 0,
-        "determinant": _frac(determinant),
-        "pairing": _frac(pairing),
+        "Z": [[pdl.ratio_text(*x), pdl.ratio_text(*y)] for x, y in z_points],
+        "W": [[pdl.ratio_text(*x), pdl.ratio_text(*y)] for x, y in w_points],
+        "vanishes": determinant[0] == 0,
+        "determinant": pdl.ratio_text(*determinant),
+        "pairing": pdl.ratio_text(*pairing),
         "formula": "theta_divisor_membership",
     }
 
@@ -535,6 +537,14 @@ def _render(out: dict, fmt: str) -> str:
     return buffer.getvalue().rstrip("\n")
 
 
+def _report(text: str) -> None:
+    """Print an error text to stderr; a stderr that cannot take it does not change the exit code."""
+    try:
+        print(text, file=sys.stderr)
+    except OSError:
+        pass
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -543,28 +553,27 @@ def main(argv=None) -> int:
         try:
             args = vars(_build_parser().parse_args(argv))
         except _UsageError as exc:
-            print(exc.parser.format_usage(), end="", file=sys.stderr)
-            print(f"error: {exc}", file=sys.stderr)
+            _report(f"{exc.parser.format_usage()}error: {exc}")
             return 64
     args = SimpleNamespace(**args)
     try:
         cfg = _resolve_config(args)
         out = args.handler(args, cfg)
     except TermBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(f"error: {exc}")
         return 3
     except ArithmeticBugError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(f"error: {exc}")
         return 1
     except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(f"error: {exc}")
         return 2
     try:
         print(_render(out, cfg.output_format))
         if sys.stdout is not None:
             sys.stdout.flush()
     except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        _report(f"error: cannot write output: {exc}")
         return 2
     return 0
 

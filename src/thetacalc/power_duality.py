@@ -26,10 +26,11 @@ import math
 import re
 
 from ._frozen import Frozen
-from .errors import ArithmeticBugError, DegenerateConfigError, DomainError
+from .errors import ArithmeticBugError, DegenerateConfigError, DomainError, decimal_str
 
-# The functions that build rationals import Fraction, so that the wedge and
-# sym paths load neither fractions nor the decimal and numbers it imports.
+# Only the Fraction adapters over the integer cores and the symmetric-form
+# helpers import Fraction, so that no duality query loads fractions or the
+# decimal and numbers it imports.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -109,18 +110,23 @@ def wedge_duality_matrix(n: int, k: int) -> WedgeMatrix:
     return WedgeMatrix(n, k, tuple(signs))
 
 
-def pair_wedge(n: int, k: int, alpha, beta) -> Fraction:
-    """Coefficient of e_{1..n} in alpha ^ beta for coefficient vectors in colex order."""
-    from fractions import Fraction
+def laplace_sum(n: int, k: int, alpha, beta):
+    """Coefficient of e_{1..n} in alpha ^ beta for coefficient vectors in colex order.
+
+    This is the Laplace expansion sum of sign * alpha_S * beta_{S^c}, in the
+    arithmetic of the coefficients: integer vectors give an integer.
+    """
     signs = wedge_duality_matrix(n, k).signs
     size = len(signs)  # = C(n, k) = C(n, n-k), the length of beta as well
     if len(alpha) != size or len(beta) != size:
         raise DomainError(f"expected coefficient vectors of lengths {size} and {size}")
-    total = Fraction(0)
-    for a, s, b in zip(alpha, signs, reversed(beta)):
-        if a:
-            total += a * s * b
-    return total
+    return sum([a * s * b for a, s, b in zip(alpha, signs, reversed(beta)) if a])
+
+
+def pair_wedge(n: int, k: int, alpha, beta) -> Fraction:
+    """``laplace_sum`` as a Fraction."""
+    from fractions import Fraction
+    return Fraction(laplace_sum(n, k, alpha, beta))
 
 
 def evaluation_covector(point, model) -> tuple[int | Fraction, ...]:
@@ -147,19 +153,17 @@ def _integer_rows(rows) -> tuple[list[list[int]], int]:
     return int_rows, scale
 
 
-def det_exact(rows) -> Fraction:
-    """Determinant over the rationals by fraction-free Bareiss elimination.
+def bareiss_det(rows) -> int:
+    """Determinant of a square integer matrix by fraction-free Bareiss elimination.
 
-    Each row is first scaled to integers by the lcm of its denominators.
-    Bareiss elimination (Math. Comp. 22, 1968) then keeps every entry an
+    Bareiss elimination (Math. Comp. 22, 1968) keeps every entry an
     integer: after step c each remaining entry is a (c+2)-minor of the
-    row-swapped integer matrix, so each update divides exactly by the
-    previous pivot.  The cost is O(n^3) integer operations on numbers
-    bounded by Hadamard's bound for the determinant.  A remainder in one of
-    those divisions is an ArithmeticBugError.
+    row-swapped matrix, so each update divides exactly by the previous
+    pivot.  The cost is O(n^3) integer operations on numbers bounded by
+    Hadamard's bound for the determinant.  A remainder in one of those
+    divisions is an ArithmeticBugError.
     """
-    from fractions import Fraction
-    m, scale = _integer_rows(rows)
+    m = [list(row) for row in rows]
     n = len(m)
     if any(len(row) != n for row in m):
         raise DomainError("determinant requires a square matrix")
@@ -168,7 +172,7 @@ def det_exact(rows) -> Fraction:
     for col in range(n):
         pivot = next((r for r in range(col, n) if m[r][col]), None)
         if pivot is None:
-            return Fraction(0)
+            return 0
         if pivot != col:
             m[col], m[pivot] = m[pivot], m[col]
             sign = -sign
@@ -184,57 +188,107 @@ def det_exact(rows) -> Fraction:
                     )
                 row[c] = value
         prev = p
-    return Fraction(sign * prev, scale)
+    return sign * prev
 
 
-def _reduced_rows(vectors) -> tuple[list[list[Fraction]], Fraction]:
-    """Reduced row echelon form R of the rows, and f with wedge(rows) = f * wedge(R).
-
-    Swaps flip the sign of the wedge, adding a multiple of one row to
-    another keeps it, and dividing a row by its pivot divides it by the
-    pivot.  So f is the signed product of the pivots, and f = 0 (with R
-    not fully reduced) when the rows are linearly dependent.
-    """
+def det_exact(rows) -> Fraction:
+    """Determinant over the rationals: ``bareiss_det`` of the rows scaled to integers."""
     from fractions import Fraction
-    rows = [[Fraction(x) for x in vec] for vec in vectors]
-    factor = Fraction(1)
+    m, scale = _integer_rows(rows)
+    return Fraction(bareiss_det(m), scale)
+
+
+def _fraction_free_reduce(m: list[list[int]]) -> tuple[int, int]:
+    """Bring integer rows in place to d times a reduced row echelon form R.
+
+    Fraction-free Gauss-Jordan: step i takes the first column col in which
+    one of rows i.. is non-zero, swaps that row into row i, and with its
+    entry p sets every other row r to (p * r - r[col] * row_i) / prev,
+    where prev is the pivot of step i-1.  As in Bareiss elimination each entry is
+    then a minor of the row-swapped matrix, so the division is exact; a
+    remainder is an ArithmeticBugError.  After the last step each row has
+    the last pivot d in its own pivot column and 0 in the others, so the
+    rows are d * R, and d is the minor of the row-swapped matrix on the
+    pivot columns.  Returns (sign, d) with sign = (-1)^swaps, or (1, 0)
+    when the rows are linearly dependent.
+    """
+    sign = 1
+    prev = 1
     col = 0
-    for i in range(len(rows)):
+    width = len(m[0]) if m else 0
+    for i in range(len(m)):
         pivot = None
         while pivot is None:
-            if col == len(rows[i]):
-                return rows, Fraction(0)
-            pivot = next((r for r in range(i, len(rows)) if rows[r][col]), None)
+            if col == width:
+                return 1, 0
+            pivot = next((r for r in range(i, len(m)) if m[r][col]), None)
             if pivot is None:
                 col += 1
         if pivot != i:
-            rows[i], rows[pivot] = rows[pivot], rows[i]
-            factor = -factor
-        p = rows[i][col]
-        factor *= p
-        top = rows[i] = [x / p for x in rows[i]]
-        for r, row in enumerate(rows):
+            m[i], m[pivot] = m[pivot], m[i]
+            sign = -sign
+        top = m[i]
+        p = top[col]
+        for r, row in enumerate(m):
+            if r == i:
+                continue
             lead = row[col]
-            if r != i and lead:
-                rows[r] = [x - lead * t for x, t in zip(row, top)]
+            # Rows below i are zero left of col; rows above are not.
+            for c in range(col if r > i else 0, width):
+                value, remainder = divmod(p * row[c] - lead * top[c], prev)
+                if remainder:
+                    raise ArithmeticBugError(
+                        f"Gauss-Jordan step {i}: {prev} does not divide an updated entry"
+                    )
+                row[c] = value
+        prev = p
         col += 1
-    return rows, factor
+    return sign, prev
+
+
+def integer_wedge(rows, n: int) -> tuple[list[int], int, int]:
+    """The wedge of k integer covectors in Z^n as integers c over colex k-subsets and num/den.
+
+    The wedge is c * num / den.  The rows are first reduced by
+    ``_fraction_free_reduce`` to G = d * R: with R the reduced form of the
+    swapped rows, wedge(rows) = sign * d * wedge(R) = sign * wedge(G) / d^(k-1).
+    So c is wedge(G), num the sign and den d^(k-1).  A row of G is d at
+    its pivot plus entries in the n - k non-pivot columns, so after i rows
+    every term is an i-subset of i pivots and those n - k columns.  The
+    wedge is built one row at a time in the exterior algebra, with subsets
+    as bitmasks (bit j-1 for member j): e_T ^ e_j is
+    (-1)^#{t in T : t > j} e_{T u {j}} for j not in T.  Every intermediate
+    layer has at most C(n,k) terms, so the cost is at most
+    k * (n-k+1) * C(n,k) integer products plus O(k^2 n) for the reduction,
+    in place of C(n,k) separate k x k eliminations.  Dependent rows give
+    c = 0 and num = 0.
+    """
+    m = [list(row) for row in rows]
+    k = len(m)
+    sign, d = _fraction_free_reduce(m)
+    if not d:
+        return [0] * math.comb(n, k), 0, 1
+    wedge = {0: 1}
+    for row in m:
+        step: dict[int, int] = {}
+        get = step.get
+        for j, v in enumerate(row):
+            if not v:
+                continue
+            bit = 1 << j
+            for mask, coeff in wedge.items():
+                if not mask & bit:
+                    key = mask | bit
+                    term = -coeff * v if (mask >> (j + 1)).bit_count() & 1 else coeff * v
+                    step[key] = get(key, 0) + term
+        wedge = step
+    return [wedge.get(mask, 0) for mask in _colex_masks(n, k)], sign, (d ** (k - 1) if k else 1)
 
 
 def wedge_coefficients(vectors, n: int, k: int) -> tuple[Fraction, ...]:
     """Coefficients over colex k-subsets of the wedge of k covectors in Q^n.
 
-    The rows are first brought to reduced row echelon form (``_reduced_rows``),
-    which changes the wedge only by a known factor.  A reduced row is e_p plus
-    entries in the n - k non-pivot columns, so after i rows every term is an
-    i-subset of i pivots and those n - k columns.  The wedge is then built
-    one row at a time in the exterior algebra, with subsets as bitmasks
-    (bit j-1 for member j): e_T ^ e_j is (-1)^#{t in T : t > j} e_{T u {j}}
-    for j not in T, over rows scaled to integers (see ``_integer_rows``).
-    Every intermediate layer has at most C(n,k) terms, so the cost is at
-    most k * (n-k+1) * C(n,k) integer products plus O(k^2 n) rational
-    operations for the reduction, in place of C(n,k) separate k x k
-    eliminations.
+    ``integer_wedge`` of the rows scaled to integers (see ``_integer_rows``).
     """
     from fractions import Fraction
     if len(vectors) != k:
@@ -243,26 +297,23 @@ def wedge_coefficients(vectors, n: int, k: int) -> tuple[Fraction, ...]:
         raise DomainError(f"need 0 <= k <= n, got k={k}, n={n}")
     if any(len(vec) != n for vec in vectors):
         raise DomainError(f"covectors must have length {n}")
-    reduced, factor = _reduced_rows(vectors)
-    if not factor:
-        return (Fraction(0),) * math.comb(n, k)
-    int_rows, scale = _integer_rows(reduced)
-    factor /= scale
-    wedge = {0: 1}
-    for row in int_rows:
-        entries = [(j, 1 << j, v) for j, v in enumerate(row) if v]
-        step: dict[int, int] = {}
-        for mask, coeff in wedge.items():
-            for j, bit, v in entries:
-                if mask & bit:
-                    continue
-                term = coeff * v
-                if (mask >> (j + 1)).bit_count() & 1:
-                    term = -term
-                key = mask | bit
-                step[key] = step.get(key, 0) + term
-        wedge = step
-    return tuple(wedge.get(mask, 0) * factor for mask in _colex_masks(n, k))
+    rows, scale = _integer_rows(vectors)
+    coeffs, num, den = integer_wedge(rows, n)
+    factor = Fraction(num, den * scale)
+    return tuple(c * factor for c in coeffs)
+
+
+def reduced(num: int, den: int) -> tuple[int, int]:
+    """num/den in lowest terms with a positive denominator."""
+    g = math.gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
+
+
+def ratio_text(num: int, den: int) -> str:
+    """A reduced ratio in full, as Fraction prints it: "num" or "num/den"."""
+    return decimal_str(num) if den == 1 else f"{decimal_str(num)}/{decimal_str(den)}"
 
 
 def parse_model(data) -> tuple[tuple[int, int], ...]:
@@ -287,47 +338,88 @@ def parse_model(data) -> tuple[tuple[int, int], ...]:
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
-def parse_point(pair) -> tuple[Fraction, Fraction]:
-    """A point from JSON, each coordinate an integer or a rational string "p/q".
+def parse_ratios(pair) -> tuple[tuple[int, int], tuple[int, int]]:
+    """A point from JSON as two reduced (num, den) pairs; each coordinate an integer or "p/q".
 
     Nothing else is accepted: exponent and decimal notation would let a
-    few characters stand for a number of millions of digits.
+    few characters stand for a number of millions of digits.  A numerator
+    or denominator over Python's int digit limit raises ValueError.
     """
-    from fractions import Fraction
     x, y = pair
     for c in (x, y):
         if isinstance(c, bool) or not (
             isinstance(c, int) or (isinstance(c, str) and _RATIONAL.fullmatch(c))
         ):
             raise DomainError(f"coordinate {c!r} is not an integer or a string 'p/q'")
-    try:
-        return Fraction(x), Fraction(y)
-    except ZeroDivisionError:
-        raise DomainError(f"zero denominator in point {pair!r}") from None
+    return _coordinate(x, pair), _coordinate(y, pair)
 
 
-def theta_rows(z_points, w_points, model) -> list[list[int | Fraction]]:
-    """Evaluation matrix of Z followed by W, after checking the configuration.
+def _coordinate(c, pair) -> tuple[int, int]:
+    if isinstance(c, int):
+        return c, 1
+    num, _, den = c.partition("/")
+    num, den = int(num), int(den or 1)
+    if not den:
+        raise DomainError(f"zero denominator in point {pair!r}")
+    return reduced(num, den)
 
-    Raises DomainError unless |Z| + |W| equals the model size or when a
-    point has a zero coordinate that a model monomial raises to a negative
-    power, and DegenerateConfigError when two points coincide.
-    """
+
+def parse_point(pair) -> tuple[Fraction, Fraction]:
+    """``parse_ratios`` as Fractions."""
     from fractions import Fraction
+    return tuple(Fraction(*c) for c in parse_ratios(pair))
+
+
+def _powers(base: int, top: int) -> list[int]:
+    powers = [1]
+    for _ in range(top):
+        powers.append(powers[-1] * base)
+    return powers
+
+
+def theta_integer_rows(z_points, w_points, model) -> tuple[list[list[int]], int]:
+    """Integer evaluation rows of Z followed by W, and the product of their scales.
+
+    Each point is a pair of reduced (num, den) coordinates.  Raises
+    DomainError unless |Z| + |W| equals the model size or when a point has
+    a zero coordinate that a model monomial raises to a negative power, and
+    DegenerateConfigError when two points coincide.
+
+    The row of a point (a/b, c/d) is its evaluation covector times
+    s = a^-lx b^hx c^-ly d^hy, where lx <= 0 <= hx bound the x exponents
+    of the model and ly <= 0 <= hy the y exponents: x^ex y^ey * s is
+    a^(ex-lx) b^(hx-ex) c^(ey-ly) d^(hy-ey), an integer.  So a multilinear
+    function of the evaluation covectors is its value on these rows
+    divided by the product of the s.
+    """
     n = len(model)
-    points = list(z_points) + list(w_points)
+    points = [*z_points, *w_points]
     if len(points) != n:
         raise DomainError(
             f"|Z| + |W| = {len(points)} must equal the model size {n}"
         )
-    normalized = [(Fraction(x), Fraction(y)) for x, y in points]
-    if len(set(normalized)) != len(normalized):
+    if len(set(points)) != n:
         raise DegenerateConfigError("coincident points in the configuration")
-    for x, y in normalized:
+    for x, y in points:
         for ex, ey in model:
-            if (ex < 0 and x == 0) or (ey < 0 and y == 0):
-                raise DomainError(f"point ({x}, {y}) is a pole of the model monomial x^{ex} y^{ey}")
-    return [list(evaluation_covector(p, model)) for p in normalized]
+            if (ex < 0 and not x[0]) or (ey < 0 and not y[0]):
+                raise DomainError(
+                    f"point ({ratio_text(*x)}, {ratio_text(*y)}) is a pole "
+                    f"of the model monomial x^{ex} y^{ey}"
+                )
+    xs = [ex for ex, _ in model] + [0]
+    ys = [ey for _, ey in model] + [0]
+    lx, hx, ly, hy = min(xs), max(xs), min(ys), max(ys)
+    rows = []
+    scale = 1
+    for (a, b), (c, d) in points:
+        pa, pb = _powers(a, hx - lx), _powers(b, hx - lx)
+        pc, pd = _powers(c, hy - ly), _powers(d, hy - ly)
+        rows.append(
+            [pa[ex - lx] * pb[hx - ex] * pc[ey - ly] * pd[hy - ey] for ex, ey in model]
+        )
+        scale *= pa[-lx] * pb[hx] * pc[-ly] * pd[hy]
+    return rows, scale
 
 
 def theta_vanishes(z_points, w_points, model) -> bool:
@@ -336,8 +428,13 @@ def theta_vanishes(z_points, w_points, model) -> bool:
     True exactly when the n x n evaluation determinant at the combined
     configuration is zero; by Laplace expansion this agrees with the
     vanishing of the wedge pairing of the wedged evaluation covectors.
+    Coordinates are ints or Fractions.
     """
-    return det_exact(theta_rows(z_points, w_points, model)) == 0
+    def ratios(points):
+        return [((x.numerator, x.denominator), (y.numerator, y.denominator)) for x, y in points]
+
+    rows, _ = theta_integer_rows(ratios(z_points), ratios(w_points), model)
+    return bareiss_det(rows) == 0
 
 
 def monomial_exponents(w_dim: int, degree: int) -> tuple[tuple[int, ...], ...]:

@@ -146,6 +146,73 @@ def test_full_device_exits_2_with_one_error_line():
     _assert_write_error(result.returncode, result.stderr)
 
 
+# A query whose handler raises ArithmeticBugError, run through cli.run.  An
+# exception that escapes run ends the process with 99, not with 1.
+_ARITHMETIC_BUG = """\
+import os, sys
+from thetacalc import cli, errors, verlinde
+def fail(*args, **kwargs):
+    raise errors.ArithmeticBugError("forced failure")
+verlinde.check_rank_level_symmetry = fail
+sys.argv[1:] = ["verlinde", "2", "1", "2"]
+try:
+    cli.run()
+except BaseException:
+    os._exit(99)
+"""
+REFUSALS = [
+    pytest.param(code, command, error, id=f"exit-{code}")
+    for code, command, error in (
+        (1, ["-c", _ARITHMETIC_BUG], b"error: forced failure\n"),
+        (2, ["-m", "thetacalc.cli", "verlinde", "0", "1", "2"], b"error: "),
+        (3, ["-m", "thetacalc.cli", "--term-budget", "2", "verlinde", "4", "4", "2"], b"error: term budget"),
+        (64, ["-m", "thetacalc.cli", "verlinde", "2"], b"usage: thetacalc verlinde"),
+    )
+]
+
+
+def _refusal(command, stderr) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, *command],
+        stdout=subprocess.PIPE,
+        stderr=stderr,
+        cwd=ROOT,
+        env=_env(),
+        timeout=TIMEOUT,
+    )
+
+
+@pytest.mark.parametrize("code, command, error", REFUSALS)
+def test_refusal_exit_codes(code, command, error):
+    result = _refusal(command, subprocess.PIPE)
+    assert (result.returncode, result.stdout) == (code, b"")
+    assert result.stderr.startswith(error)
+    assert not any(noise in result.stderr for noise in NO_TEARDOWN_NOISE)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("code, command, error", REFUSALS)
+def test_refusal_exit_codes_hold_when_stderr_is_full(code, command, error):
+    """An error line that cannot be written leaves the exit code of the refusal."""
+    with open("/dev/full", "wb") as full:
+        result = _refusal(command, full)
+    assert (result.returncode, result.stdout) == (code, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_stdout_and_stderr_exit_2():
+    with open("/dev/full", "wb") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "thetacalc.cli", "verlinde", "2", "1", "2"],
+            stdout=full,
+            stderr=full,
+            cwd=ROOT,
+            env=_env(),
+            timeout=TIMEOUT,
+        )
+    assert result.returncode == 2
+
+
 def test_closed_stdout_exits_0_silently():
     command = f"{shlex.quote(sys.executable)} -m thetacalc.cli verlinde 2 1 2 >&-"
     result = subprocess.run(

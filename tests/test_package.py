@@ -174,6 +174,14 @@ def test_wedge_and_sym_queries_do_not_load_fractions(argv):
     assert not {"fractions", "decimal", "numbers"} & _loaded_after(argv)
 
 
+@pytest.mark.parametrize("name", ["true", "forms", "laurent", "z_empty", "rank_deficient"])
+def test_theta_query_does_not_load_fractions(name):
+    """theta-vanishes computes in integers; it loads json only to read its points file."""
+    points = Path(__file__).resolve().parent / "golden" / f"corpus_points_{name}.json"
+    loaded = _loaded_after(["duality", "theta-vanishes", "--points", str(points)])
+    assert not {"fractions", "decimal", "numbers"} & loaded
+
+
 USAGE = """\
 usage: thetacalc [-h] [--format {json,markdown,csv}] [--config CONFIG]
                  [--term-budget TERM_BUDGET] [--lattice LATTICE]

@@ -1,22 +1,32 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import random
+import tempfile
 import tracemalloc
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from thetacalc import power_duality
 from thetacalc.cli import main
-from thetacalc.errors import DegenerateConfigError, DomainError
+from thetacalc.errors import ArithmeticBugError, DegenerateConfigError, DomainError
 from thetacalc.power_duality import (
     _colex_masks,
+    _fraction_free_reduce,
+    bareiss_det,
     det_exact,
     evaluate_sym_form,
     evaluation_covector,
     incidence_form,
+    integer_wedge,
     monomial_exponents,
     multinomial,
     pair_wedge,
@@ -370,15 +380,163 @@ def _random_rows(rng: random.Random, k: int, n: int) -> list[list[Fraction]]:
     return rows
 
 
-def test_wedge_coefficients_match_reference_minors():
-    rng = random.Random(4242)
+def _random_configurations(seed: int):
+    """Random k x n rows for n <= 10 and every k, k = 0 and k = n included."""
+    rng = random.Random(seed)
     for n in range(0, 11):
         for k in range(0, n + 1):
             for _ in range(3 if n <= 8 else 1):
-                rows = _random_rows(rng, k, n)
-                got = wedge_coefficients(rows, n, k)
-                assert got == _reference_wedge(rows, n, k)
-                assert all(type(c) is Fraction for c in got)
+                yield n, k, _random_rows(rng, k, n)
+
+
+def test_wedge_coefficients_match_reference_minors():
+    for n, k, rows in _random_configurations(4242):
+        got = wedge_coefficients(rows, n, k)
+        assert got == _reference_wedge(rows, n, k)
+        assert all(type(c) is Fraction for c in got)
+
+
+def _scaled_to_integers(rows) -> list[list[int]]:
+    out = []
+    for row in rows:
+        lcm = math.lcm(*(Fraction(x).denominator for x in row))
+        out.append([int(Fraction(x) * lcm) for x in row])
+    return out
+
+
+def test_integer_wedge_matches_reference_minors():
+    """The fraction-free Gauss-Jordan wedge c * num / den is the vector of k x k minors."""
+    dependent = 0
+    for n, k, rows in _random_configurations(4242):
+        int_rows = _scaled_to_integers(rows)
+        coeffs, num, den = integer_wedge(int_rows, n)
+        assert all(type(c) is int for c in coeffs) and type(num) is int and type(den) is int
+        expected = _reference_wedge(int_rows, n, k)
+        assert [Fraction(c * num, den) for c in coeffs] == list(expected)
+        if not any(expected):
+            assert num == 0
+            dependent += k > 0
+    assert dependent > 20
+
+
+def _reference_reduced(rows):
+    """Reduced row echelon form in Fraction arithmetic, and the pivot columns."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    col = 0
+    for i in range(len(m)):
+        while col < len(m[i]) and all(m[r][col] == 0 for r in range(i, len(m))):
+            col += 1
+        if col == len(m[i]):
+            return None, pivots
+        r = next(r for r in range(i, len(m)) if m[r][col])
+        m[i], m[r] = m[r], m[i]
+        m[i] = [x / m[i][col] for x in m[i]]
+        for r in range(len(m)):
+            if r != i and m[r][col]:
+                m[r] = [x - m[r][col] * t for x, t in zip(m[r], m[i])]
+        pivots.append(col)
+        col += 1
+    return m, pivots
+
+
+def test_fraction_free_reduce_is_last_pivot_times_reduced_form():
+    for n, k, rows in _random_configurations(77):
+        m = _scaled_to_integers(rows)
+        reduced, pivots = _reference_reduced(m)
+        sign, d = _fraction_free_reduce(m)
+        if reduced is None:
+            assert (sign, d) == (1, 0)
+            continue
+        assert m == [[d * x for x in row] for row in reduced]
+        minor = [[row[c] for c in pivots] for row in _scaled_to_integers(rows)]
+        assert sign * d == _reference_det(minor)
+
+
+class _OffByOne(int):
+    """An int whose products are one too large: a faulty multiplication."""
+
+    def __mul__(self, other):
+        return int(self) * other + 1
+
+    __rmul__ = __mul__
+
+
+# Bareiss passes on the first matrix and Gauss-Jordan on its first two rows
+# fails; Bareiss fails on the second.
+_GAUSS_JORDAN_FAULT = [[_OffByOne(2), 3, 5], [7, 11, 13], [17, 19, 23]]
+_BAREISS_FAULT = [[_OffByOne(2), 1, 0], [1, 2, 1], [0, 1, 2]]
+
+
+def test_exact_division_checks_can_fail():
+    with pytest.raises(ArithmeticBugError, match="Bareiss step 1: 2 does not divide"):
+        bareiss_det(_BAREISS_FAULT)
+    bareiss_det(_GAUSS_JORDAN_FAULT)
+    with pytest.raises(ArithmeticBugError, match="Gauss-Jordan step 1: 2 does not divide"):
+        integer_wedge(_GAUSS_JORDAN_FAULT[:2], 3)
+
+
+@pytest.mark.parametrize(
+    "rows, k, message",
+    [
+        (_BAREISS_FAULT, 1, "Bareiss step 1: 2 does not divide an updated entry"),
+        (_GAUSS_JORDAN_FAULT, 2, "Gauss-Jordan step 1: 2 does not divide an updated entry"),
+    ],
+)
+def test_cli_exits_1_when_an_exact_division_fails(rows, k, message, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(
+        power_duality, "theta_integer_rows", lambda z, w, model: ([list(r) for r in rows], 1)
+    )
+    points = tmp_path / "points.json"
+    xs = [[1, 2], [3, 4], [5, 6]]
+    points.write_text(json.dumps({"model": [[0, 0], [1, 0], [0, 1]], "Z": xs[:k], "W": xs[k:]}))
+    assert main(["duality", "theta-vanishes", "--points", str(points)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@st.composite
+def _theta_configurations(draw):
+    """A model of n <= 9 monomials, Laurent ones included, and n distinct points off its poles.
+
+    Each coordinate is written as an int or as a string "p/q" not in lowest terms.
+    """
+    n = draw(st.integers(1, 9))
+    exponents = st.tuples(st.integers(-2, 3), st.integers(-2, 3))
+    model = draw(st.lists(exponents, min_size=n, max_size=n, unique=True))
+    nonzero = [any(e[axis] < 0 for e in model) for axis in (0, 1)]
+    coords = [
+        st.builds(Fraction, st.integers(-6, 6).filter(lambda v, nz=nz: v or not nz), st.integers(1, 5))
+        for nz in nonzero
+    ]
+    points = draw(st.lists(st.tuples(*coords), min_size=n, max_size=n, unique=True))
+    k = draw(st.integers(0, n))
+    scales = draw(st.lists(st.integers(1, 3), min_size=2 * n, max_size=2 * n))
+
+    def written(x: Fraction, m: int):
+        if x.denominator == 1 and m == 1:
+            return x.numerator
+        return f"{x.numerator * m}/{x.denominator * m}"
+
+    text = [[written(x, scales[2 * i]), written(y, scales[2 * i + 1])] for i, (x, y) in enumerate(points)]
+    return model, points, k, {"model": model, "Z": text[:k], "W": text[k:]}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_theta_configurations())
+def test_cli_theta_values_match_the_fraction_reference(config):
+    """The integer path prints the determinant of the Fraction evaluation rows, twice."""
+    model, points, k, data = config
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "points.json"
+        path.write_text(json.dumps(data))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["duality", "theta-vanishes", "--points", str(path)])
+    assert code == 0
+    result = json.loads(out.getvalue())
+    expected = _reference_det([list(evaluation_covector(p, model)) for p in points])
+    assert result["determinant"] == result["pairing"] == str(expected)
+    assert result["vanishes"] is (expected == 0)
 
 
 @pytest.mark.parametrize("n,k", [(18, 17), (16, 14), (16, 2)])
