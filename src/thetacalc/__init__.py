@@ -68,9 +68,6 @@ _EXPORTS = {
         "SymDualityMatrix",
         "WedgeMatrix",
         "evaluation_covector",
-        "evaluate_sym_form",
-        "incidence_form",
-        "pair_wedge",
         "sym_duality_matrix",
         "theta_vanishes",
         "wedge_duality_matrix",
@@ -81,7 +78,6 @@ _EXPORTS = {
         "VerlindeReport",
         "check_rank_level_symmetry",
         "float_oracle",
-        "level_one_oracle",
         "modified_verlinde",
         "verlinde_number",
     ),

@@ -63,19 +63,48 @@ class NuTooWeakError(DomainError):
         )
 
 
+# A refusal prints C(n,k) in full while it has at most this many digits.
+COUNT_DIGITS = 10_000
+
+
 class TermBudgetError(ThetaCalcError):
-    def __init__(self, n: int, k: int, terms: int, budget: int):
-        self.terms = terms
+    """C(n, k) terms over the budget.
+
+    With k' = min(k, n-k), C(n, k') >= (n/k')^k', so k' log10(n/k') bounds
+    the digit count from below before anything big is computed (math.log10
+    takes ints of any size, where lgamma needs a float).  Under the limit
+    C(n, k') <= (e n/k')^k' and n/k' >= 2 leave at most 2.5 times as many
+    digits, so the exact count is cheap.
+    """
+
+    def __init__(self, n: int, k: int, budget: int):
         self.budget = budget
-        super().__init__(f"term budget exceeded: C({n},{k}) = {decimal_str(terms)} > {budget}")
+        terms = f"C({decimal_str(n)},{decimal_str(k)})"
+        small = min(k, n - k)
+        if not small or small * (math.log10(n) - math.log10(small)) <= COUNT_DIGITS:
+            count = math.comb(n, small)
+            if count < 10**COUNT_DIGITS:
+                terms += f" = {decimal_str(count)}"
+        super().__init__(f"term budget exceeded: {terms} > {decimal_str(budget)}")
 
 
 def check_budget(n: int, k: int, term_budget: int) -> None:
-    """Refuse C(n, k) terms above the budget; an out-of-range (n, k) is left to the domain check."""
+    """Refuse C(n, k) terms above the budget; an out-of-range (n, k) is left to the domain check.
+
+    The running product t_i = C(n-k'+i, i) = t_(i-1) (n-k'+i) / i, for
+    k' = min(k, n-k), is exact at every step and grows to C(n, k), so it
+    stops once it passes the budget: after at most log2(budget) + 1 products,
+    since t_i >= C(2i, i) >= 2^i.
+    """
     if 0 <= k <= n:
-        terms = math.comb(n, k)
+        small = min(k, n - k)
+        terms = 1
+        for i in range(1, small + 1):
+            if terms > term_budget:
+                break
+            terms = terms * (n - small + i) // i
         if terms > term_budget:
-            raise TermBudgetError(n, k, terms, term_budget)
+            raise TermBudgetError(n, k, term_budget)
 
 
 class ArithmeticBugError(ThetaCalcError):

@@ -50,10 +50,6 @@ class NSLattice(Frozen):
     def rank(self) -> int:
         return len(self.gram)
 
-    @property
-    def is_even(self) -> bool:
-        return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
-
     def dot(self, u: tuple[int, ...], v: tuple[int, ...]) -> int:
         return sum(
             u[i] * self.gram[i][j] * v[j]

@@ -9,9 +9,12 @@ pairing is a perfect duality between the k-th and (n-k)-th exterior powers.
 The point oracle models an n-dimensional space of sections as bivariate
 monomials over exact rationals.  For point sets Z (k points) and W (n-k
 points) the theta locus "some section vanishes on all of Z union W" is
-detected by the vanishing of the n x n evaluation determinant, which by
-Laplace expansion along the first k rows equals the wedge pairing of the
-wedged evaluation covectors of Z and W.
+detected by the vanishing of the wedge pairing of the wedged evaluation
+covectors of Z and W.  By Laplace expansion along the first k rows that
+pairing is the n x n evaluation determinant, so it is computed once, by
+integer Bareiss elimination over rows with one integer scale per point
+(``theta_integer_rows``).  ``wedge_coefficients`` gives the wedge side of
+that law as k x k minors.
 
 Subset and monomial indices are frozen so matrices are reproducible
 byte-for-byte: subsets in colexicographic order, the numeric order of
@@ -28,9 +31,9 @@ import re
 from ._frozen import Frozen
 from .errors import ArithmeticBugError, DegenerateConfigError, DomainError, decimal_str
 
-# Only the Fraction adapters over the integer cores and the symmetric-form
-# helpers import Fraction, so that no duality query loads fractions or the
-# decimal and numbers it imports.
+# Only the Fraction adapters over the integer cores (det_exact,
+# wedge_coefficients and the _integer_rows they share) import Fraction, so
+# that no duality query loads fractions or the decimal and numbers it imports.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -110,25 +113,6 @@ def wedge_duality_matrix(n: int, k: int) -> WedgeMatrix:
     return WedgeMatrix(n, k, tuple(signs))
 
 
-def laplace_sum(n: int, k: int, alpha, beta):
-    """Coefficient of e_{1..n} in alpha ^ beta for coefficient vectors in colex order.
-
-    This is the Laplace expansion sum of sign * alpha_S * beta_{S^c}, in the
-    arithmetic of the coefficients: integer vectors give an integer.
-    """
-    signs = wedge_duality_matrix(n, k).signs
-    size = len(signs)  # = C(n, k) = C(n, n-k), the length of beta as well
-    if len(alpha) != size or len(beta) != size:
-        raise DomainError(f"expected coefficient vectors of lengths {size} and {size}")
-    return sum([a * s * b for a, s, b in zip(alpha, signs, reversed(beta)) if a])
-
-
-def pair_wedge(n: int, k: int, alpha, beta) -> Fraction:
-    """``laplace_sum`` as a Fraction."""
-    from fractions import Fraction
-    return Fraction(laplace_sum(n, k, alpha, beta))
-
-
 def evaluation_covector(point, model) -> tuple[int | Fraction, ...]:
     """Values of the model monomials x^ex * y^ey at a point (x, y)."""
     x, y = point
@@ -198,97 +182,12 @@ def det_exact(rows) -> Fraction:
     return Fraction(bareiss_det(m), scale)
 
 
-def _fraction_free_reduce(m: list[list[int]]) -> tuple[int, int]:
-    """Bring integer rows in place to d times a reduced row echelon form R.
-
-    Fraction-free Gauss-Jordan: step i takes the first column col in which
-    one of rows i.. is non-zero, swaps that row into row i, and with its
-    entry p sets every other row r to (p * r - r[col] * row_i) / prev,
-    where prev is the pivot of step i-1.  As in Bareiss elimination each entry is
-    then a minor of the row-swapped matrix, so the division is exact; a
-    remainder is an ArithmeticBugError.  After the last step each row has
-    the last pivot d in its own pivot column and 0 in the others, so the
-    rows are d * R, and d is the minor of the row-swapped matrix on the
-    pivot columns.  Returns (sign, d) with sign = (-1)^swaps, or (1, 0)
-    when the rows are linearly dependent.
-    """
-    sign = 1
-    prev = 1
-    col = 0
-    width = len(m[0]) if m else 0
-    for i in range(len(m)):
-        pivot = None
-        while pivot is None:
-            if col == width:
-                return 1, 0
-            pivot = next((r for r in range(i, len(m)) if m[r][col]), None)
-            if pivot is None:
-                col += 1
-        if pivot != i:
-            m[i], m[pivot] = m[pivot], m[i]
-            sign = -sign
-        top = m[i]
-        p = top[col]
-        for r, row in enumerate(m):
-            if r == i:
-                continue
-            lead = row[col]
-            # Rows below i are zero left of col; rows above are not.
-            for c in range(col if r > i else 0, width):
-                value, remainder = divmod(p * row[c] - lead * top[c], prev)
-                if remainder:
-                    raise ArithmeticBugError(
-                        f"Gauss-Jordan step {i}: {prev} does not divide an updated entry"
-                    )
-                row[c] = value
-        prev = p
-        col += 1
-    return sign, prev
-
-
-def integer_wedge(rows, n: int) -> tuple[list[int], int, int]:
-    """The wedge of k integer covectors in Z^n as integers c over colex k-subsets and num/den.
-
-    The wedge is c * num / den.  The rows are first reduced by
-    ``_fraction_free_reduce`` to G = d * R: with R the reduced form of the
-    swapped rows, wedge(rows) = sign * d * wedge(R) = sign * wedge(G) / d^(k-1).
-    So c is wedge(G), num the sign and den d^(k-1).  A row of G is d at
-    its pivot plus entries in the n - k non-pivot columns, so after i rows
-    every term is an i-subset of i pivots and those n - k columns.  The
-    wedge is built one row at a time in the exterior algebra, with subsets
-    as bitmasks (bit j-1 for member j): e_T ^ e_j is
-    (-1)^#{t in T : t > j} e_{T u {j}} for j not in T.  Every intermediate
-    layer has at most C(n,k) terms, so the cost is at most
-    k * (n-k+1) * C(n,k) integer products plus O(k^2 n) for the reduction,
-    in place of C(n,k) separate k x k eliminations.  Dependent rows give
-    c = 0 and num = 0.
-    """
-    m = [list(row) for row in rows]
-    k = len(m)
-    sign, d = _fraction_free_reduce(m)
-    if not d:
-        return [0] * math.comb(n, k), 0, 1
-    wedge = {0: 1}
-    for row in m:
-        step: dict[int, int] = {}
-        get = step.get
-        for j, v in enumerate(row):
-            if not v:
-                continue
-            bit = 1 << j
-            for mask, coeff in wedge.items():
-                if not mask & bit:
-                    key = mask | bit
-                    term = -coeff * v if (mask >> (j + 1)).bit_count() & 1 else coeff * v
-                    step[key] = get(key, 0) + term
-        wedge = step
-    return [wedge.get(mask, 0) for mask in _colex_masks(n, k)], sign, (d ** (k - 1) if k else 1)
-
-
 def wedge_coefficients(vectors, n: int, k: int) -> tuple[Fraction, ...]:
     """Coefficients over colex k-subsets of the wedge of k covectors in Q^n.
 
-    ``integer_wedge`` of the rows scaled to integers (see ``_integer_rows``).
+    The coefficient of e_S is the k x k minor of the covectors on the
+    columns S: ``bareiss_det`` of the rows scaled once to integers (see
+    ``_integer_rows``), over the product of the scales.
     """
     from fractions import Fraction
     if len(vectors) != k:
@@ -298,9 +197,11 @@ def wedge_coefficients(vectors, n: int, k: int) -> tuple[Fraction, ...]:
     if any(len(vec) != n for vec in vectors):
         raise DomainError(f"covectors must have length {n}")
     rows, scale = _integer_rows(vectors)
-    coeffs, num, den = integer_wedge(rows, n)
-    factor = Fraction(num, den * scale)
-    return tuple(c * factor for c in coeffs)
+    minors = (
+        bareiss_det([[row[j] for j in range(n) if mask >> j & 1] for row in rows])
+        for mask in _colex_masks(n, k)
+    )
+    return tuple(Fraction(m, scale) for m in minors)
 
 
 def reduced(num: int, den: int) -> tuple[int, int]:
@@ -364,12 +265,6 @@ def _coordinate(c, pair) -> tuple[int, int]:
     return reduced(num, den)
 
 
-def parse_point(pair) -> tuple[Fraction, Fraction]:
-    """``parse_ratios`` as Fractions."""
-    from fractions import Fraction
-    return tuple(Fraction(*c) for c in parse_ratios(pair))
-
-
 def _powers(base: int, top: int) -> list[int]:
     powers = [1]
     for _ in range(top):
@@ -425,10 +320,9 @@ def theta_integer_rows(z_points, w_points, model) -> tuple[list[list[int]], int]
 def theta_vanishes(z_points, w_points, model) -> bool:
     """Whether some model section vanishes on all points of Z union W.
 
-    True exactly when the n x n evaluation determinant at the combined
-    configuration is zero; by Laplace expansion this agrees with the
-    vanishing of the wedge pairing of the wedged evaluation covectors.
-    Coordinates are ints or Fractions.
+    True exactly when ``bareiss_det`` of the integer evaluation rows (see
+    ``theta_integer_rows``) is zero, as ``duality theta-vanishes`` reports
+    it.  Coordinates are ints or Fractions.
     """
     def ratios(points):
         return [((x.numerator, x.denominator), (y.numerator, y.denominator)) for x, y in points]
@@ -486,43 +380,3 @@ def sym_duality_matrix(w_dim: int, n: int) -> SymDualityMatrix:
     return SymDualityMatrix(
         w_dim, n, monomials, tuple(multinomial(alpha) for alpha in monomials)
     )
-
-
-def incidence_form(z_points, model) -> tuple[Fraction, ...]:
-    """Coefficients, over degree-n monomials, of the product of point evaluations.
-
-    The returned vector represents the symmetric tensor obtained by
-    multiplying the evaluation covectors of the points of Z: evaluating it
-    on a section t (see ``evaluate_sym_form``) gives prod_i t(z_i).
-    """
-    from fractions import Fraction
-    w_dim = len(model)
-    n = len(z_points)
-    poly: dict[tuple[int, ...], Fraction] = {(0,) * w_dim: Fraction(1)}
-    for p in z_points:
-        row = evaluation_covector(p, model)
-        new: dict[tuple[int, ...], Fraction] = {}
-        for expo, c in poly.items():
-            for j, a in enumerate(row):
-                if a:
-                    bumped = expo[:j] + (expo[j] + 1,) + expo[j + 1 :]
-                    new[bumped] = new.get(bumped, Fraction(0)) + c * a
-        poly = new
-    return tuple(poly.get(alpha, Fraction(0)) for alpha in monomial_exponents(w_dim, n))
-
-
-def evaluate_sym_form(coeffs, w_dim: int, degree: int, t_coeffs) -> Fraction:
-    """Value of a symmetric form on the section with coefficients t_coeffs."""
-    from fractions import Fraction
-    monomials = monomial_exponents(w_dim, degree)
-    if len(coeffs) != len(monomials) or len(t_coeffs) != w_dim:
-        raise DomainError("coefficient vector lengths do not match the monomial basis")
-    total = Fraction(0)
-    for c, alpha in zip(coeffs, monomials):
-        if c:
-            term = Fraction(c)
-            for t, e in zip(t_coeffs, alpha):
-                if e:
-                    term *= Fraction(t) ** e
-            total += term
-    return total

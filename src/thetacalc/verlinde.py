@@ -169,15 +169,6 @@ def verlinde_number(query: VerlindeQuery, *, term_budget: int = DEFAULT_TERM_BUD
     return _integral(total * n * r**g, len(traces) * min(k, r) * n**g)
 
 
-def level_one_oracle(rank: int, genus: int) -> int:
-    """Independent check value for level 1: the count collapses to rank^genus."""
-    if rank < 1:
-        raise DomainError("rank must be >= 1")
-    if genus < 2:
-        raise DomainError("genus must be >= 2")
-    return rank**genus
-
-
 def modified_verlinde(query: VerlindeQuery, *, term_budget: int = DEFAULT_TERM_BUDGET) -> int:
     """vt_{r,k} = ((k+r)^g / r^g) * v_{r,k}, asserted integral."""
     return check_rank_level_symmetry(query, term_budget=term_budget).modified_value

@@ -24,6 +24,15 @@ def subsets_colex(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(s[::-1] for s in reversed(list(combinations(range(n, 0, -1), k))))
 
 
+def level_one_oracle(rank: int, genus: int) -> int:
+    """The level-1 Verlinde number r^g.
+
+    The SU(r) level-1 fusion ring is the group ring of Z/r: r weights, each
+    with S_(0,lambda) = r^(-1/2), so the sum of S_(0,lambda)^(2-2g) is r^g.
+    """
+    return rank**genus
+
+
 @lru_cache(maxsize=None)
 def _gl_weights(shape: tuple[int, ...]) -> Counter[tuple[int, ...]]:
     """Weights of the GL(r) module of highest weight ``shape``, r = len(shape), with multiplicities.

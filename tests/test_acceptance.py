@@ -19,12 +19,11 @@ from thetacalc.errors import NotIntegralError
 from thetacalc.verlinde import (
     VerlindeQuery,
     float_oracle,
-    level_one_oracle,
     modified_verlinde,
     verlinde_number,
 )
 
-from conftest import GRID_GENERA, GRID_SUM_MAX, fusion_count, subsets_colex
+from conftest import GRID_GENERA, GRID_SUM_MAX, fusion_count, level_one_oracle, subsets_colex
 
 
 def _report(number: int, description: str, failures: list[str]):
@@ -185,7 +184,7 @@ def test_criterion_07_theta_divisor_oracle():
     }
     for n, (model, k) in models.items():
         rng = random.Random(1234 + n)
-        global_sign = None
+        signs = pdl.wedge_duality_matrix(n, k).signs
         seen_vanishing = seen_generic = 0
         trials = 0
         while trials < 200:
@@ -201,24 +200,19 @@ def test_criterion_07_theta_divisor_oracle():
             det = pdl.det_exact(rows)
             alpha = pdl.wedge_coefficients(rows[:k], n, k)
             beta = pdl.wedge_coefficients(rows[k:], n, n - k)
-            pairing = pdl.pair_wedge(n, k, alpha, beta)
+            pairing = sum(a * s * b for a, s, b in zip(alpha, signs, reversed(beta)))
             vanishes = pdl.theta_vanishes(z_points, w_points, model)
             if vanishes != (pairing == 0):
                 failures.append(f"n={n}: oracle mismatch at {points}")
+            if det != pairing:
+                failures.append(f"n={n}: det {det} != pairing {pairing} at {points}")
             if det != 0:
                 seen_generic += 1
-                sign = det / pairing
-                if global_sign is None:
-                    global_sign = sign
-                if sign != global_sign or abs(sign) != 1:
-                    failures.append(f"n={n}: sign {sign} deviates from {global_sign}")
             else:
                 seen_vanishing += 1
-                if pairing != 0:
-                    failures.append(f"n={n}: det 0 but pairing {pairing}")
         if seen_vanishing == 0 or seen_generic == 0:
             failures.append(f"n={n}: both branches must be exercised")
-    _report(7, "theta oracle = wedge pairing on 200 configurations per model", failures)
+    _report(7, "det = wedge pairing exactly on 200 configurations per model", failures)
 
 
 def test_criterion_08_mukai_suite():

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thetacalc.cli import _json_text, _Rendered, main
+from thetacalc.errors import TermBudgetError, check_budget
 from thetacalc.verlinde import VerlindeQuery, verlinde_number
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -443,6 +445,38 @@ def test_term_budget_refusal_of_over_long_count(capsys, argv):
     assert int(count[-9:]) == math.comb(20000, 10000) % 10**9
     if limit:
         assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (("verlinde", "3000000", "3000000", "2"), "C(6000000,3000000)"),
+        (("duality", "sym", "2000000", "2000000"), "C(3999999,2000000)"),
+    ],
+)
+def test_term_budget_refusal_of_a_huge_count_is_quick(capsys, argv, count):
+    # C(6000000, 3000000) has about 1.8 million digits: neither computed nor printed
+    start = time.perf_counter()
+    code, out, err = _run(capsys, *argv)
+    assert time.perf_counter() - start < 2
+    assert (code, out, err) == (3, "", f"error: term budget exceeded: {count} > 200000\n")
+
+
+def test_term_budget_count_is_printed_up_to_10000_digits():
+    # C(10^9999, 1) has 10,000 digits and C(10^10000, 10^10000 - 1) 10,001,
+    # more than Python's default int-to-str limit for either
+    n, text = 10**9999, "1" + "0" * 9999
+    with pytest.raises(TermBudgetError) as info:
+        check_budget(n, 1, 10)
+    assert str(info.value) == f"term budget exceeded: C({text},1) = {text} > 10"
+    n, text, less = 10**10000, "1" + "0" * 10000, "9" * 10000
+    with pytest.raises(TermBudgetError) as info:
+        check_budget(n, n - 1, 10)
+    assert str(info.value) == f"term budget exceeded: C({text},{less}) > 10"
+    for k in (0, 2):  # C(2, k) is 1 and 1 <= 1: only a budget below 1 refuses
+        check_budget(2, k, 1)
+        with pytest.raises(TermBudgetError, match=rf"C\(2,{k}\) = 1 > 0"):
+            check_budget(2, k, 0)
 
 
 def test_term_budget_flag_overrides_env(capsys, monkeypatch):

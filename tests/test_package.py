@@ -36,13 +36,12 @@ EXPORTED = {
         "lattice_preset mukai_pairing"
     ),
     "power_duality": (
-        "SymDualityMatrix WedgeMatrix evaluation_covector evaluate_sym_form "
-        "incidence_form pair_wedge sym_duality_matrix theta_vanishes "
-        "wedge_duality_matrix"
+        "SymDualityMatrix WedgeMatrix evaluation_covector sym_duality_matrix "
+        "theta_vanishes wedge_duality_matrix"
     ),
     "verlinde": (
         "DEFAULT_TERM_BUDGET VerlindeQuery VerlindeReport check_rank_level_symmetry "
-        "float_oracle level_one_oracle modified_verlinde verlinde_number"
+        "float_oracle modified_verlinde verlinde_number"
     ),
 }
 

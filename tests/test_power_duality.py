@@ -20,18 +20,13 @@ from thetacalc.cli import main
 from thetacalc.errors import ArithmeticBugError, DegenerateConfigError, DomainError
 from thetacalc.power_duality import (
     _colex_masks,
-    _fraction_free_reduce,
     bareiss_det,
     det_exact,
-    evaluate_sym_form,
     evaluation_covector,
-    incidence_form,
-    integer_wedge,
     monomial_exponents,
     multinomial,
-    pair_wedge,
     parse_model,
-    parse_point,
+    parse_ratios,
     sym_duality_matrix,
     theta_vanishes,
     wedge_coefficients,
@@ -40,6 +35,7 @@ from thetacalc.power_duality import (
 
 from conftest import subsets_colex
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
 MODEL3 = ((0, 0), (1, 0), (0, 1))
 MODEL4 = ((0, 0), (1, 0), (0, 1), (1, 1))
 MODEL6 = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
@@ -119,20 +115,6 @@ def test_wedge_transpose_sign_law_small():
                 assert forward.signs[i] == sign * backward.signs[j]
 
 
-def test_pair_wedge_examples():
-    one = Fraction(1)
-    alpha = [one, 0, 0]
-    beta = [0, 0, one]  # e_{2,3} is last in colex among 2-subsets of {1,2,3}
-    assert subsets_colex(3, 2) == ((1, 2), (1, 3), (2, 3))
-    assert pair_wedge(3, 1, alpha, beta) == 1
-    beta_repeat = [one, 0, 0]  # e_{1,2} shares the index 1 with e_1
-    assert pair_wedge(3, 1, alpha, beta_repeat) == 0
-    doubled = [2 * one, 0, 0]
-    assert pair_wedge(3, 1, doubled, beta) == 2 * pair_wedge(3, 1, alpha, beta)
-    with pytest.raises(DomainError):
-        pair_wedge(3, 1, [one], beta)
-
-
 def test_evaluation_covector_examples():
     assert evaluation_covector((Fraction(0), Fraction(0)), MODEL3) == (1, 0, 0)
     assert evaluation_covector((Fraction(1), Fraction(2)), MODEL3) == (1, 1, 2)
@@ -166,12 +148,14 @@ def _distinct_points(rng: random.Random, count: int):
 
 
 def _pairing_data(z_points, w_points, model):
+    """The evaluation determinant, and the wedge pairing summed here from the two wedges."""
     n = len(model)
     k = len(z_points)
     rows = [list(evaluation_covector(p, model)) for p in list(z_points) + list(w_points)]
     alpha = wedge_coefficients(rows[:k], n, k)
     beta = wedge_coefficients(rows[k:], n, n - k)
-    return det_exact(rows), pair_wedge(n, k, alpha, beta)
+    signs = wedge_duality_matrix(n, k).signs
+    return det_exact(rows), sum(a * s * b for a, s, b in zip(alpha, signs, reversed(beta)))
 
 
 @pytest.mark.parametrize(
@@ -266,31 +250,6 @@ def test_sym_duality_matrix_full_rank():
             assert det_exact(dense) != 0
 
 
-def test_incidence_form_examples():
-    point = (Fraction(3), Fraction(4))
-    assert incidence_form([point], MODEL3) == evaluation_covector(point, MODEL3)
-    two = incidence_form([(Fraction(1), Fraction(0)), (Fraction(2), Fraction(0))], ((0, 0), (1, 0)))
-    assert two == (1, 3, 2)  # (a + b)(a + 2b) = a^2 + 3ab + 2b^2
-    # every model section vanishes at the origin, so the form is identically zero
-    killing = incidence_form([(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))], ((1, 0), (0, 1)))
-    for t in ((1, 0), (0, 1), (3, -2)):
-        assert evaluate_sym_form(killing, 2, 2, t) == 0
-
-
-def test_incidence_form_evaluation_contract():
-    rng = random.Random(13)
-    for model in (MODEL3, MODEL4):
-        for _ in range(40):
-            points = _distinct_points(rng, 3)
-            coeffs = incidence_form(points, model)
-            t = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in model]
-            expected = math.prod(
-                sum(tc * val for tc, val in zip(t, evaluation_covector(p, model)))
-                for p in points
-            )
-            assert evaluate_sym_form(coeffs, len(model), len(points), t) == expected
-
-
 @pytest.mark.parametrize("n, k", [(16, 8), (7, 5), (4, 0), (4, 4)])
 def test_wedge_json_export_layout(n, k, tmp_path, capsys):
     """``duality wedge --export`` writes the matrix built from colex subsets and shuffle signs."""
@@ -307,15 +266,16 @@ def test_wedge_json_export_layout(n, k, tmp_path, capsys):
 
 def test_point_parsing_errors():
     with pytest.raises(DomainError, match="zero denominator"):
-        parse_point(["1/0", 2])
+        parse_ratios(["1/0", 2])
     assert parse_model([[0, 0], [-1, 2]]) == ((0, 0), (-1, 2))
     for entry in ([1.5, 0], [0, True], ["1", 0], [0], [0, 0, 0]):
         with pytest.raises(DomainError, match="integer exponents"):
             parse_model([[0, 0], entry])
-    assert parse_point(["-3/4", -5]) == (Fraction(-3, 4), Fraction(-5))
+    assert parse_ratios(["-3/4", -5]) == ((-3, 4), (-5, 1))
+    assert parse_ratios(["6/8", "-0/3"]) == ((3, 4), (0, 1))
     for coordinate in ("1e10000000", "2E3", "0.5", ".5", "1_000", "-1/-2", 1.5, False):
         with pytest.raises(DomainError, match="not an integer or a string 'p/q'"):
-            parse_point([1, coordinate])
+            parse_ratios([1, coordinate])
 
 
 def test_theta_laurent_model_poles():
@@ -396,63 +356,6 @@ def test_wedge_coefficients_match_reference_minors():
         assert all(type(c) is Fraction for c in got)
 
 
-def _scaled_to_integers(rows) -> list[list[int]]:
-    out = []
-    for row in rows:
-        lcm = math.lcm(*(Fraction(x).denominator for x in row))
-        out.append([int(Fraction(x) * lcm) for x in row])
-    return out
-
-
-def test_integer_wedge_matches_reference_minors():
-    """The fraction-free Gauss-Jordan wedge c * num / den is the vector of k x k minors."""
-    dependent = 0
-    for n, k, rows in _random_configurations(4242):
-        int_rows = _scaled_to_integers(rows)
-        coeffs, num, den = integer_wedge(int_rows, n)
-        assert all(type(c) is int for c in coeffs) and type(num) is int and type(den) is int
-        expected = _reference_wedge(int_rows, n, k)
-        assert [Fraction(c * num, den) for c in coeffs] == list(expected)
-        if not any(expected):
-            assert num == 0
-            dependent += k > 0
-    assert dependent > 20
-
-
-def _reference_reduced(rows):
-    """Reduced row echelon form in Fraction arithmetic, and the pivot columns."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    col = 0
-    for i in range(len(m)):
-        while col < len(m[i]) and all(m[r][col] == 0 for r in range(i, len(m))):
-            col += 1
-        if col == len(m[i]):
-            return None, pivots
-        r = next(r for r in range(i, len(m)) if m[r][col])
-        m[i], m[r] = m[r], m[i]
-        m[i] = [x / m[i][col] for x in m[i]]
-        for r in range(len(m)):
-            if r != i and m[r][col]:
-                m[r] = [x - m[r][col] * t for x, t in zip(m[r], m[i])]
-        pivots.append(col)
-        col += 1
-    return m, pivots
-
-
-def test_fraction_free_reduce_is_last_pivot_times_reduced_form():
-    for n, k, rows in _random_configurations(77):
-        m = _scaled_to_integers(rows)
-        reduced, pivots = _reference_reduced(m)
-        sign, d = _fraction_free_reduce(m)
-        if reduced is None:
-            assert (sign, d) == (1, 0)
-            continue
-        assert m == [[d * x for x in row] for row in reduced]
-        minor = [[row[c] for c in pivots] for row in _scaled_to_integers(rows)]
-        assert sign * d == _reference_det(minor)
-
-
 class _OffByOne(int):
     """An int whose products are one too large: a faulty multiplication."""
 
@@ -462,26 +365,18 @@ class _OffByOne(int):
     __rmul__ = __mul__
 
 
-# Bareiss passes on the first matrix and Gauss-Jordan on its first two rows
-# fails; Bareiss fails on the second.
-_GAUSS_JORDAN_FAULT = [[_OffByOne(2), 3, 5], [7, 11, 13], [17, 19, 23]]
+# Bareiss elimination fails its exact-division check on this matrix.
 _BAREISS_FAULT = [[_OffByOne(2), 1, 0], [1, 2, 1], [0, 1, 2]]
 
 
 def test_exact_division_checks_can_fail():
     with pytest.raises(ArithmeticBugError, match="Bareiss step 1: 2 does not divide"):
         bareiss_det(_BAREISS_FAULT)
-    bareiss_det(_GAUSS_JORDAN_FAULT)
-    with pytest.raises(ArithmeticBugError, match="Gauss-Jordan step 1: 2 does not divide"):
-        integer_wedge(_GAUSS_JORDAN_FAULT[:2], 3)
 
 
 @pytest.mark.parametrize(
     "rows, k, message",
-    [
-        (_BAREISS_FAULT, 1, "Bareiss step 1: 2 does not divide an updated entry"),
-        (_GAUSS_JORDAN_FAULT, 2, "Gauss-Jordan step 1: 2 does not divide an updated entry"),
-    ],
+    [(_BAREISS_FAULT, 1, "Bareiss step 1: 2 does not divide an updated entry")],
 )
 def test_cli_exits_1_when_an_exact_division_fails(rows, k, message, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(
@@ -492,6 +387,23 @@ def test_cli_exits_1_when_an_exact_division_fails(rows, k, message, tmp_path, ca
     points.write_text(json.dumps({"model": [[0, 0], [1, 0], [0, 1]], "Z": xs[:k], "W": xs[k:]}))
     assert main(["duality", "theta-vanishes", "--points", str(points)]) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("name", ["false", "true", "laurent", "z_empty", "w_empty"])
+def test_theta_query_builds_no_wedge(name, capsys, monkeypatch):
+    """``duality theta-vanishes`` prints the determinant as the pairing, without a wedge."""
+    argv = ["duality", "theta-vanishes", "--points", str(GOLDEN / f"corpus_points_{name}.json")]
+    assert main(argv) == 0
+    expected = capsys.readouterr()
+
+    def no_wedge(*args):
+        raise AssertionError("a theta query built a wedge")
+
+    monkeypatch.setattr(power_duality, "wedge_coefficients", no_wedge)
+    assert main(argv) == 0
+    assert capsys.readouterr() == expected
+    result = json.loads(expected.out)
+    assert result["pairing"] == result["determinant"]
 
 
 @st.composite

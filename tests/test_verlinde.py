@@ -25,12 +25,11 @@ from thetacalc.verlinde import (
     _integral,
     check_rank_level_symmetry,
     float_oracle,
-    level_one_oracle,
     modified_verlinde,
     verlinde_number,
 )
 
-from conftest import fusion_count
+from conftest import fusion_count, level_one_oracle
 
 
 def _naive_float(r: int, k: int, g: int) -> float:
@@ -268,12 +267,6 @@ def test_modified_frozen_values():
     assert modified_verlinde(VerlindeQuery(2, 2, 2)) == 40
     assert modified_verlinde(VerlindeQuery(1, 1, 2)) == 4
     assert modified_verlinde(VerlindeQuery(2, 1, 2)) == 9
-
-
-def test_level_one_oracle_values():
-    assert level_one_oracle(3, 2) == 9
-    assert level_one_oracle(1, 5) == 1
-    assert level_one_oracle(5, 3) == 125
 
 
 def test_level_one_agreement():
