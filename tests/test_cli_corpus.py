@@ -3,7 +3,8 @@
 ``golden/cli_corpus.jsonl`` holds one record per invocation: its argv, exit
 code, stdout and stderr.  The corpus covers every subcommand and op in all
 three formats, the domain (exit 2) and term-budget (exit 3) refusals, strings
-that JSON escapes, and a grid of Verlinde queries.  Help and usage errors are left out; the package
+that JSON escapes, a grid of Verlinde queries, and float-oracle values in fixed
+and scientific notation.  Help and usage errors are left out; the package
 tests pin their argparse text.  ``THETACALC_UPDATE_GOLDEN=1`` rewrites the
 file from the current code.
 
@@ -54,6 +55,15 @@ def _verlinde_grid():
     yield ["--format", "csv", "verlinde", "6", "5", "4", "--check-symmetry"]
     yield ["verlinde", "3", "2", "4", "--float-oracle"]
     yield ["--precision", "40", "verlinde", "2", "2", "2", "--modified", "--float-oracle"]
+
+
+def _float_rendering():
+    # The float value in fixed notation at 15 digits, in scientific notation
+    # from 16 digits on, and at higher precisions.
+    for g in ("24", "26", "40"):
+        yield ["verlinde", "2", "2", g, "--float-oracle"]
+    yield ["--precision", "20", "verlinde", "5", "5", "20", "--float-oracle"]
+    yield ["--precision", "60", "verlinde", "4", "4", "10", "--float-oracle"]
 
 
 def _each_op():
@@ -116,6 +126,7 @@ def corpus_argvs() -> list[list[str]]:
     argvs = list(_verlinde_grid())
     for fmt in FORMATS:
         argvs += [[*fmt, *argv] for argv in _each_op()]
+        argvs += [[*fmt, *argv] for argv in _float_rendering()]
         argvs += [[*fmt, *argv] for argv in _refusals()]
     return argvs
 
