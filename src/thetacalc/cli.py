@@ -241,8 +241,7 @@ def _cmd_duality(args, cfg: CliConfig) -> dict:
         raise DomainError(f"cannot read points file: {exc}")
     try:
         model = pdl.parse_model(data["model"])
-        z_points = [pdl.parse_ratios(p) for p in data["Z"]]
-        w_points = [pdl.parse_ratios(p) for p in data["W"]]
+        z_points, w_points = pdl.parse_points(data)
     except (KeyError, ValueError, TypeError) as exc:
         raise DomainError(f"malformed points file: {exc}")
     rows, scale = pdl.theta_integer_rows(z_points, w_points, model)

@@ -239,13 +239,24 @@ def parse_model(data) -> tuple[tuple[int, int], ...]:
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
+def parse_points(data) -> tuple[list, list]:
+    """The points Z and W of a points file, each a JSON list of points read by parse_ratios."""
+    for key in ("Z", "W"):
+        if not isinstance(data[key], list):
+            raise DomainError(f"{key} is not a list of points")
+    return [parse_ratios(p) for p in data["Z"]], [parse_ratios(p) for p in data["W"]]
+
+
 def parse_ratios(pair) -> tuple[tuple[int, int], tuple[int, int]]:
     """A point from JSON as two reduced (num, den) pairs; each coordinate an integer or "p/q".
 
+    The point must be a list of two coordinates, as a model entry must.
     Nothing else is accepted: exponent and decimal notation would let a
     few characters stand for a number of millions of digits.  A numerator
     or denominator over Python's int digit limit raises ValueError.
     """
+    if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+        raise DomainError(f"point {pair!r} is not a pair of coordinates")
     x, y = pair
     for c in (x, y):
         if isinstance(c, bool) or not (

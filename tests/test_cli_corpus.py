@@ -34,10 +34,12 @@ POINTS_ACCEPTED = tuple(
     f"tests/golden/corpus_points_{name}.json"
     for name in ("forms", "laurent", "z_empty", "w_empty", "rank_deficient", "long")
 )
-# "1" next to "1/1" (coincident), a pole of a Laurent monomial, and a
-# coordinate of 4,301 digits.
+# "1" next to "1/1" (coincident), a pole of a Laurent monomial, a
+# coordinate of 4,301 digits, a string and an object of two items as points,
+# and an object as Z.
 POINTS_REFUSED = tuple(
-    f"tests/golden/corpus_points_{name}.json" for name in ("repeat", "pole", "too_long")
+    f"tests/golden/corpus_points_{name}.json"
+    for name in ("repeat", "pole", "too_long", "point_string", "point_object", "z_object")
 )
 # A preset named with a quote, a backslash, a tab, a non-ASCII and a non-BMP character.
 CONFIG_ESCAPE = "tests/golden/corpus_config_escape.json"

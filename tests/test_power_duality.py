@@ -26,6 +26,7 @@ from thetacalc.power_duality import (
     monomial_exponents,
     multinomial,
     parse_model,
+    parse_points,
     parse_ratios,
     sym_duality_matrix,
     theta_vanishes,
@@ -276,6 +277,19 @@ def test_point_parsing_errors():
     for coordinate in ("1e10000000", "2E3", "0.5", ".5", "1_000", "-1/-2", 1.5, False):
         with pytest.raises(DomainError, match="not an integer or a string 'p/q'"):
             parse_ratios([1, coordinate])
+
+
+def test_points_must_be_lists_of_pairs():
+    """A string or an object of two items is not a point, and Z and W must be lists."""
+    for point in ("12", {"1": 0, "2": 0}, [1], [1, 2, 3], 12, None):
+        with pytest.raises(DomainError, match="not a pair of coordinates"):
+            parse_ratios(point)
+    good = {"Z": [[1, 2]], "W": [["3/6", 4]]}
+    assert parse_points(good) == ([((1, 1), (2, 1))], [((1, 2), (4, 1))])
+    for key in ("Z", "W"):
+        for points in ({"12": 0}, "12", 12, None):
+            with pytest.raises(DomainError, match=f"{key} is not a list of points"):
+                parse_points({**good, key: points})
 
 
 def test_theta_laurent_model_poles():
