@@ -128,9 +128,7 @@ def _cmd_verlinde(args, cfg: CliConfig) -> dict:
         out["partner_value"] = _s(report.partner_value)
         out["symmetry_holds"] = report.symmetry_holds
     if args.float_oracle:
-        import mpmath
-
-        out["float_value"] = mpmath.nstr(vl.float_oracle(query, cfg.precision), 15)
+        out["float_value"] = vl.dyadic_text(*vl.float_oracle(query, cfg.precision))
     out["formula"] = "verlinde_number"
     return out
 

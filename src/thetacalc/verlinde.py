@@ -195,31 +195,160 @@ def check_rank_level_symmetry(
     )
 
 
-def float_oracle(query: VerlindeQuery, precision: int = 30):
-    """The unreduced sum with high-precision floating sines, behind ``--float-oracle``.
+_LOG2_10 = math.log(10, 2)
+# Guard bits of the float oracle's result, and the bits of the fixed point
+# that the printed digits are floored from: 18 decimal digits and 10 more.
+_GUARD = 6
+_DIGIT_BITS = int(18 * _LOG2_10) + 10
+
+
+def _pi_fixed(bits: int) -> int:
+    """pi * 2^bits to within a unit or two, from Machin's pi = 16 atan(1/5) - 4 atan(1/239)."""
+    guard = bits.bit_length() + 6
+    one = 1 << (bits + guard)
+
+    def atan_inv(x: int) -> int:
+        total = term = one // x
+        x2, i = x * x, 3
+        while term:
+            term //= x2
+            total += -(term // i) if i & 2 else term // i
+            i += 2
+        return total
+
+    return (16 * atan_inv(5) - 4 * atan_inv(239)) >> guard
+
+
+def _two_sines(n: int, width: int) -> list[tuple[int, int]]:
+    """(m, e) with m * 2^e = 2*sin(pi*d/n) and m of `width` bits, for d = 0..n-1 (d = 0 unused).
+
+    Taylor series at pi*d/n in fixed point.  Near d = n the sine is about
+    1/n, so the fixed point carries bit_length(n) more bits than the
+    mantissa, and bit_length(width) more for the series' truncations.
+    """
+    bits = width + n.bit_length() + width.bit_length() + 4
+    pi = _pi_fixed(bits)
+    sines = [(0, 0)]
+    for d in range(1, n):
+        x = pi * d // n
+        x2 = x * x >> bits
+        total = term = x
+        i = 2
+        while term:
+            term = term * x2 // (i * (i + 1) << bits)
+            total += -term if i & 2 else term
+            i += 2
+        shift = total.bit_length() - width
+        sines.append((total >> shift, shift + 1 - bits))
+    return sines
+
+
+def _power(m: int, e: int, power: int, width: int) -> tuple[int, int]:
+    """(m * 2^e)^power by binary powering, every product truncated to `width` bits."""
+    result, exponent = 1, 0
+    while True:
+        if power & 1:
+            result *= m
+            shift = result.bit_length() - width
+            result >>= shift
+            exponent += e + shift
+        power >>= 1
+        if not power:
+            return result, exponent
+        m *= m
+        shift = m.bit_length() - width
+        m >>= shift
+        e = 2 * e + shift
+
+
+def float_oracle(query: VerlindeQuery, precision: int = 30) -> tuple[int, int]:
+    """The unreduced sum in binary floating point, behind ``--float-oracle``.
 
     Enumerates all C(r+k, k) subsets with the plain distances |s-t| and
-    shares none of the exact path's reductions, so it checks them.
-    Returns an mpmath float.  All subset terms are positive, so no
-    cancellation occurs and `precision` decimal digits are retained up to
-    a small constant loss.
+    shares none of the exact path's reductions, so it checks them.  Every
+    number is an integer mantissa m of W bits with a binary exponent e,
+    standing for m * 2^e, and every product is truncated to W bits: the
+    k*r sines of a term, then the binary powering to g-1, which multiplies
+    the term's relative error by g-1.  All terms are positive, so no
+    cancellation occurs.  W leaves guard bits for those truncations, so
+    the sum is known to 2^-(P+1) relatively, and it is returned rounded to
+    nearest at P bits, where P = round((precision + 1) * log2(10)) + 6.  A
+    sum that is an integer of at most P bits therefore comes out exact.
+    Returns the exact dyadic (m, e); `dyadic_text` prints it.
     """
     if precision < 15:
         raise DomainError("float oracle precision must be >= 15 digits")
-    import mpmath
-
     r, k, g = query.rank, query.level, query.genus
     n = r + k
+    power = g - 1
+    bits = round((precision + 1) * _LOG2_10) + _GUARD
+    # The truncations err by at most power * (3*k*r + 4) units of 2^(1 - W).
+    width = bits + (power * (3 * k * r + 4)).bit_length() + 3
+    sines = _two_sines(n, width)
     universe = range(1, n + 1)
-    with mpmath.workdps(precision):
-        sines = {d: 2 * mpmath.sinpi(mpmath.mpf(d) / n) for d in range(1, n)}
-        total = mpmath.mpf(0)
-        for subset in combinations(universe, k):
-            inside = set(subset)
-            term = mpmath.mpf(1)
-            for s in subset:
-                for t in universe:
-                    if t not in inside:
-                        term *= sines[abs(s - t)]
-            total += term ** (g - 1)
-        return total * mpmath.mpf(r) ** g / mpmath.mpf(n) ** g
+    terms = []
+    for subset in combinations(universe, k):
+        outside = [t for t in universe if t not in subset]
+        m, e = 1, 0
+        for s in subset:
+            for t in outside:
+                sine, exponent = sines[abs(s - t)]
+                m *= sine
+                shift = m.bit_length() - width
+                m >>= shift
+                e += exponent + shift
+        terms.append(_power(m, e, power, width))
+    # Every term has W bits, so the largest is at least 2^(top + W - 1), and
+    # aligning the terms to 2^(top - guard) loses less than 2^-W of the sum.
+    top = max(e for _, e in terms)
+    guard = len(terms).bit_length() + 2
+    total = sum((m << guard) >> (top - e) for m, e in terms)
+    # r^g / n^g, with bit_length(n^g) more bits in the dividend for the quotient.
+    num, den = total * r**g, n**g
+    shift = width + den.bit_length() - num.bit_length()
+    num = num << shift if shift >= 0 else num >> -shift
+    value = num // den
+    drop = value.bit_length() - bits
+    return (value + (1 << (drop - 1))) >> drop, top - guard - shift + drop
+
+
+def dyadic_text(m: int, e: int) -> str:
+    """m * 2^e, m > 0, to 15 significant digits, as the float oracle has always printed it.
+
+    Floors the value to a fixed point of 69 significant bits, then to
+    decimal, and rounds half up at the 16th digit.  Prints fixed notation
+    while the leading digit's exponent is in (-5, 15), with trailing zeros
+    stripped but ".0" kept, and e+N / e-N otherwise.  Above 2^3500 and
+    below 2^-3500 the digits are the exact floor of the value.
+    """
+    bits = m.bit_length()
+    if abs(e + bits) > 3500:
+        scale = math.floor((e + bits) * math.log10(2)) - 21
+        num, den = (m << e, 1) if e >= 0 else (m, 1 << -e)
+        if scale >= 0:
+            den *= 10**scale
+        else:
+            num *= 10**-scale
+        digits = str(num // den)
+        exponent = len(digits) - 1 + scale
+    else:
+        fixprec = max(_DIGIT_BITS - e - bits, 0)
+        fixdps = int(fixprec / _LOG2_10 + 0.5)
+        shift = e + fixprec
+        fixed = m << shift if shift >= 0 else m >> -shift
+        digits = str(fixed * 10**fixdps >> fixprec)
+        exponent = len(digits) - fixdps - 1
+    head = digits[:15]
+    if digits[15] >= "5":
+        head = str(int(head) + 1)
+        if len(head) > 15:
+            head, exponent = head[:15], exponent + 1
+    if -5 < exponent < 15:
+        split = exponent + 1
+        if exponent < 0:
+            head, split = "0" * -exponent + head, 1
+        suffix = ""
+    else:
+        split, suffix = 1, f"e{exponent:+d}"
+    text = (head[:split] + "." + head[split:]).rstrip("0")
+    return (text + "0" if text.endswith(".") else text) + suffix

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 
+import mpmath
 import pytest
 
 from thetacalc.verlinde import VerlindeQuery, verlinde_number
@@ -22,6 +24,35 @@ def subsets_colex(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     without a sort.
     """
     return tuple(s[::-1] for s in reversed(list(combinations(range(n, 0, -1), k))))
+
+
+def dyadic(value: tuple[int, int]) -> Fraction:
+    """The exact value m * 2^e of a float-oracle result (m, e)."""
+    m, e = value
+    return m * Fraction(2) ** e
+
+
+def mpmath_float_oracle(query: VerlindeQuery, precision: int = 30):
+    """The float oracle as it was written with mpmath, now the reference of the integer one.
+
+    The same unreduced sum over all C(r+k, k) subsets with the plain
+    distances |s-t|, each sine from mpmath.sinpi at `precision` digits.
+    """
+    r, k, g = query.rank, query.level, query.genus
+    n = r + k
+    universe = range(1, n + 1)
+    with mpmath.workdps(precision):
+        sines = {d: 2 * mpmath.sinpi(mpmath.mpf(d) / n) for d in range(1, n)}
+        total = mpmath.mpf(0)
+        for subset in combinations(universe, k):
+            inside = set(subset)
+            term = mpmath.mpf(1)
+            for s in subset:
+                for t in universe:
+                    if t not in inside:
+                        term *= sines[abs(s - t)]
+            total += term ** (g - 1)
+        return total * mpmath.mpf(r) ** g / mpmath.mpf(n) ** g
 
 
 def level_one_oracle(rank: int, genus: int) -> int:

@@ -23,7 +23,7 @@ from thetacalc.verlinde import (
     verlinde_number,
 )
 
-from conftest import GRID_GENERA, GRID_SUM_MAX, fusion_count, level_one_oracle, subsets_colex
+from conftest import GRID_GENERA, GRID_SUM_MAX, dyadic, fusion_count, level_one_oracle, subsets_colex
 
 
 def _report(number: int, description: str, failures: list[str]):
@@ -103,9 +103,9 @@ def test_criterion_04_integrality_battery(verlinde_grid):
 def test_criterion_05_float_exact_agreement(verlinde_grid):
     failures = []
     for (r, k, g), value in verlinde_grid.items():
-        approx = float_oracle(VerlindeQuery(r, k, g))
+        approx = dyadic(float_oracle(VerlindeQuery(r, k, g)))
         if abs(approx - value) / value >= 1e-6:
-            failures.append(f"float mismatch at ({r},{k},{g}): {approx} vs {value}")
+            failures.append(f"float mismatch at ({r},{k},{g}): {float(approx)} vs {value}")
     _report(5, "float and exact paths agree to 1e-6 relative on the grid", failures)
 
 

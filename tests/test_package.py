@@ -95,6 +95,22 @@ def test_verlinde_query_imports_only_its_modules():
     assert not unwanted & loaded
 
 
+def test_float_oracle_query_loads_no_float_modules():
+    """The float oracle computes in ints: no mpmath, and none of fractions, decimal or numbers."""
+    loaded = _loaded_after(["verlinde", "3", "4", "2", "--float-oracle"])
+    assert not {"mpmath", "fractions", "decimal", "numbers"} & loaded
+
+
+def test_float_oracle_runs_without_mpmath():
+    script = (
+        "import sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "from thetacalc.cli import main\n"
+        "assert main(['verlinde', '3', '4', '2', '--float-oracle']) == 0\n"
+    )
+    assert '"float_value":"504.0"' in _fresh(script)
+
+
 def test_mukai_query_imports_only_its_modules():
     loaded = _loaded_after(["mukai", "pair", "--v=1:1,0:0", "--w=0:0,1:2"])
     assert "thetacalc.mukai" in loaded

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -24,12 +25,13 @@ from thetacalc.verlinde import (
     _distance_exponent_groups,
     _integral,
     check_rank_level_symmetry,
+    dyadic_text,
     float_oracle,
     modified_verlinde,
     verlinde_number,
 )
 
-from conftest import fusion_count, level_one_oracle
+from conftest import dyadic, fusion_count, level_one_oracle, mpmath_float_oracle
 
 
 def _naive_float(r: int, k: int, g: int) -> float:
@@ -334,7 +336,7 @@ def test_float_oracle_matches_exact():
         exact = verlinde_number(VerlindeQuery(r, k, g))
         if expected is not None:
             assert exact == expected
-        approx = float_oracle(VerlindeQuery(r, k, g))
+        approx = dyadic(float_oracle(VerlindeQuery(r, k, g)))
         assert abs(approx - exact) / exact < 1e-6
 
 
@@ -352,8 +354,68 @@ def test_float_oracle_precision_floor():
 
 
 def test_float_oracle_higher_precision():
-    value = float_oracle(VerlindeQuery(2, 2, 2), precision=40)
-    assert abs(value - 10) < mpmath.mpf("1e-30")
+    value = dyadic(float_oracle(VerlindeQuery(2, 2, 2), precision=40))
+    assert abs(value - 10) < Fraction(1, 10**30)
+
+
+def _float_grid():
+    for n in range(2, 10):
+        for r in range(1, n):
+            for g in (2, 3, 4, 6, 10, 20, 40):
+                yield VerlindeQuery(r, n - r, g)
+
+
+def _nstr_exact(value) -> str:
+    """mpmath.nstr(value, 15) of an int or an exact dyadic, with no rounding on the way in."""
+    if isinstance(value, int):
+        value = (value, 0)
+    with mpmath.workprec(max(value[0].bit_length(), 1)):
+        return mpmath.nstr(mpmath.mpf(value), 15)
+
+
+def test_float_value_matches_mpmath_reference():
+    """From 18 digits on, the printed value is that of the mpmath sum."""
+    for query in _float_grid():
+        for precision in (18, 20, 30, 40, 60):
+            expected = mpmath.nstr(mpmath_float_oracle(query, precision), 15)
+            assert dyadic_text(*float_oracle(query, precision)) == expected, (query, precision)
+
+
+def test_float_value_at_low_precision_is_the_rounded_integer():
+    """At 15-17 digits, where mpmath's own rounding reaches the printed digits, it is v rounded."""
+    for query in _float_grid():
+        expected = _nstr_exact(verlinde_number(query))
+        for precision in (15, 16, 17):
+            assert dyadic_text(*float_oracle(query, precision)) == expected, (query, precision)
+
+
+def test_float_oracle_rounds_a_tie_as_the_integer():
+    """v = 5^22 = 2384185791015625 ends in a 5 at the 16th digit: half up, at every precision."""
+    query = VerlindeQuery(5, 1, 22)
+    assert verlinde_number(query) == 5**22
+    for precision in (15, 16, 30):
+        assert dyadic(float_oracle(query, precision)) == 5**22
+        assert dyadic_text(*float_oracle(query, precision)) == "2.38418579101563e+15"
+
+
+def _random_dyadics(rng: random.Random, count: int):
+    for _ in range(count):
+        bits = rng.choice((1, 2, 5, 20, 53, 60, 69, 70, 90, 130, 300))
+        m = rng.getrandbits(bits) | 1 << (bits - 1)
+        top = rng.choice((80, 400, 3600, 20000))
+        yield m, rng.randint(-top, top) - bits
+    # Exact decimal ties at the 16th digit (5^22 * 2^-22 = 2.384185791015625e-7),
+    # runs of nines that carry into a new leading digit, and both notations'
+    # edges around 1e-5 and 1e15.
+    for j in range(1, 40):
+        for shift in range(-3, 4):
+            for m in (5**j, 3 * 5**j, 10**j - 1, 2 * 10**j - 1):
+                yield m, shift - j
+
+
+def test_dyadic_text_matches_nstr():
+    for m, e in _random_dyadics(random.Random(20071), 12_000):
+        assert dyadic_text(m, e) == _nstr_exact((m, e)), (m, e)
 
 
 def test_term_budget_refusal():
