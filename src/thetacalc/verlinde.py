@@ -222,24 +222,33 @@ def _pi_fixed(bits: int) -> int:
 def _two_sines(n: int, width: int) -> list[tuple[int, int]]:
     """(m, e) with m * 2^e = 2*sin(pi*d/n) and m of `width` bits, for d = 0..n-1 (d = 0 unused).
 
-    Taylor series at pi*d/n in fixed point.  Near d = n the sine is about
-    1/n, so the fixed point carries bit_length(n) more bits than the
-    mantissa, and bit_length(width) more for the series' truncations.
+    In fixed point: the Taylor series of sin at a = (pi/n) / 2^h and cos a
+    = sqrt(1 - sin^2 a), then h doublings (sin 2a = 2 sin a cos a, cos 2a =
+    cos^2 a - sin^2 a) to pi/n, then d-1 rotations by pi/n to pi*d/n.
+    With h near sqrt(width)/2 the series and the doublings take about
+    sqrt(width) products each.  A doubling can triple the error and a
+    rotation adds to it, so the fixed point carries 2h guard bits, and
+    2*bit_length(n) more because the sine near d = n is about 1/n.
     """
-    bits = width + n.bit_length() + width.bit_length() + 4
-    pi = _pi_fixed(bits)
+    halvings = math.isqrt(width) // 2
+    bits = width + 2 * n.bit_length() + width.bit_length() + 2 * halvings + 4
+    a = _pi_fixed(bits) // n >> halvings
+    a2 = a * a >> bits
+    sin = term = a
+    i = 2
+    while term:
+        term = (term * a2 >> bits) // (i * (i + 1))
+        sin += -term if i & 2 else term
+        i += 2
+    cos = math.isqrt((1 << 2 * bits) - sin * sin)
+    for _ in range(halvings):
+        sin, cos = sin * cos >> (bits - 1), (cos - sin) * (cos + sin) >> bits
     sines = [(0, 0)]
-    for d in range(1, n):
-        x = pi * d // n
-        x2 = x * x >> bits
-        total = term = x
-        i = 2
-        while term:
-            term = term * x2 // (i * (i + 1) << bits)
-            total += -term if i & 2 else term
-            i += 2
-        shift = total.bit_length() - width
-        sines.append((total >> shift, shift + 1 - bits))
+    s, c = sin, cos
+    for _ in range(1, n):
+        shift = s.bit_length() - width
+        sines.append((s >> shift, shift + 1 - bits))
+        s, c = (s * cos + c * sin) >> bits, (c * cos - s * sin) >> bits
     return sines
 
 
@@ -318,18 +327,13 @@ def dyadic_text(m: int, e: int) -> str:
     Floors the value to a fixed point of 69 significant bits, then to
     decimal, and rounds half up at the 16th digit.  Prints fixed notation
     while the leading digit's exponent is in (-5, 15), with trailing zeros
-    stripped but ".0" kept, and e+N / e-N otherwise.  Above 2^3500 and
-    below 2^-3500 the digits are the exact floor of the value.
+    stripped but ".0" kept, and e+N / e-N otherwise.
     """
     bits = m.bit_length()
-    if abs(e + bits) > 3500:
+    if e + bits > 3500:
+        # The leading digits of floor(x); str() refuses ints of over 4300 digits.
         scale = math.floor((e + bits) * math.log10(2)) - 21
-        num, den = (m << e, 1) if e >= 0 else (m, 1 << -e)
-        if scale >= 0:
-            den *= 10**scale
-        else:
-            num *= 10**-scale
-        digits = str(num // den)
+        digits = str((m << e if e >= 0 else m >> -e) // 10**scale)
         exponent = len(digits) - 1 + scale
     else:
         fixprec = max(_DIGIT_BITS - e - bits, 0)

@@ -358,6 +358,28 @@ def test_float_oracle_higher_precision():
     assert abs(value - 10) < Fraction(1, 10**30)
 
 
+def test_two_sines_are_correct_to_their_width():
+    """Every mantissa is 2*sin(pi*d/n) to within 2 units of its last bit, also near d = n.
+
+    Width 3400 takes 29 doublings, whose error the guard bits must absorb.
+    """
+    cases = [(n, width) for n in (*range(2, 40), 97, 1000) for width in (60, 130, 400)]
+    for n, width in cases + [(n, 3400) for n in (3, 8, 30, 97)]:
+        with mpmath.workprec(width + 60):
+            for d, (m, e) in enumerate(verlinde._two_sines(n, width)[1:], start=1):
+                assert m.bit_length() == width
+                exact = 2 * mpmath.sinpi(mpmath.mpf(d) / n)
+                assert abs(mpmath.ldexp(m, e) / exact - 1) < mpmath.ldexp(1, 1 - width), (n, width, d)
+
+
+def test_float_oracle_at_high_precision():
+    """At 1000 digits the oracle is within 10^-1000 of v, relatively."""
+    for r, k, g in ((2, 1, 2), (4, 4, 10), (3, 5, 3)):
+        exact = verlinde_number(VerlindeQuery(r, k, g))
+        approx = dyadic(float_oracle(VerlindeQuery(r, k, g), precision=1000))
+        assert abs(approx - exact) / exact < Fraction(1, 10**1000)
+
+
 def _float_grid():
     for n in range(2, 10):
         for r in range(1, n):
