@@ -57,6 +57,11 @@ def _verlinde_grid():
     yield ["--format", "csv", "verlinde", "6", "5", "4", "--check-symmetry"]
     yield ["verlinde", "3", "2", "4", "--float-oracle"]
     yield ["--precision", "40", "verlinde", "2", "2", "2", "--modified", "--float-oracle"]
+    # v = 1 at 15 digits, and v = 5916727707553125 and 21880209314216250, each
+    # a tie at the 16th digit: printed as v rounded half up.
+    yield ["--precision", "15", "verlinde", "1", "2", "20", "--float-oracle"]
+    yield ["verlinde", "2", "8", "10", "--float-oracle"]
+    yield ["verlinde", "3", "7", "6", "--float-oracle"]
 
 
 def _float_rendering():

@@ -387,12 +387,10 @@ def _float_grid():
                 yield VerlindeQuery(r, n - r, g)
 
 
-def _nstr_exact(value) -> str:
-    """mpmath.nstr(value, 15) of an int or an exact dyadic, with no rounding on the way in."""
-    if isinstance(value, int):
-        value = (value, 0)
-    with mpmath.workprec(max(value[0].bit_length(), 1)):
-        return mpmath.nstr(mpmath.mpf(value), 15)
+def _nstr_exact(m: int, e: int) -> str:
+    """mpmath.nstr(m * 2^e, 15), with no rounding on the way in."""
+    with mpmath.workprec(max(m.bit_length(), 1)):
+        return mpmath.nstr(mpmath.mpf((m, e)), 15)
 
 
 def test_float_value_matches_mpmath_reference():
@@ -406,7 +404,7 @@ def test_float_value_matches_mpmath_reference():
 def test_float_value_at_low_precision_is_the_rounded_integer():
     """At 15-17 digits, where mpmath's own rounding reaches the printed digits, it is v rounded."""
     for query in _float_grid():
-        expected = _nstr_exact(verlinde_number(query))
+        expected = _nstr_exact(verlinde_number(query), 0)
         for precision in (15, 16, 17):
             assert dyadic_text(*float_oracle(query, precision)) == expected, (query, precision)
 
@@ -426,7 +424,7 @@ def _random_dyadics(rng: random.Random, count: int):
         m = rng.getrandbits(bits) | 1 << (bits - 1)
         top = rng.choice((80, 400, 3600, 20000))
         yield m, rng.randint(-top, top) - bits
-    # Exact decimal ties at the 16th digit (5^22 * 2^-22 = 2.384185791015625e-7),
+    # Exact decimal ties at the 16th digit (5^11 * 2^-11 = 5^22 / 10^11 = 23841.85791015625),
     # runs of nines that carry into a new leading digit, and both notations'
     # edges around 1e-5 and 1e15.
     for j in range(1, 40):
@@ -437,7 +435,7 @@ def _random_dyadics(rng: random.Random, count: int):
 
 def test_dyadic_text_matches_nstr():
     for m, e in _random_dyadics(random.Random(20071), 12_000):
-        assert dyadic_text(m, e) == _nstr_exact((m, e)), (m, e)
+        assert dyadic_text(m, e) == _nstr_exact(m, e), (m, e)
 
 
 def test_term_budget_refusal():
