@@ -572,6 +572,64 @@ def test_config_lattice_presets(capsys, tmp_path):
     assert payload["pairing"] == "-1"  # c1(v).c1(w) - v0*w4 = 1 - 2
 
 
+K3_PAIR = ("mukai", "pair", "--v=1:1,0:0", "--w=0:0,1:2")
+AB_PAIR = ("mukai", "pair", "--v=1:1:0", "--w=1:2:4")
+ORACLE = ("verlinde", "2", "1", "2", "--float-oracle")
+FLOOR = "error: float oracle precision must be >= 15 digits\n"
+
+
+@pytest.mark.parametrize(
+    "config, env, argv, code, expected",
+    [
+        # a flag wins over the config file
+        ({"lattice_preset": "abelian_pp"}, None, ("--lattice", "k3_elliptic", *K3_PAIR), 0, '"preset":"k3_elliptic"'),
+        ({"precision": 10}, None, ("--precision", "20", *ORACLE), 0, '"float_value":"4.0"'),
+        ({"output_format": "xml"}, None, ("--format", "json", "verlinde", "2", "1", "2"), 0, '"value":"4"'),
+        # the environment wins over the config file, the flag over both
+        ({"term_budget": 5}, "100", ("verlinde", "3", "3", "2"), 0, '"value":"166"'),
+        ({"term_budget": 100}, "5", ("verlinde", "3", "3", "2"), 3, "C(6,3) = 20 > 5"),
+        ({"term_budget": 5}, "5", ("--term-budget", "100", "verlinde", "3", "3", "2"), 0, '"value":"166"'),
+        # an empty --lattice is absent; a zero --term-budget or --precision is used
+        (None, None, ("--lattice", "", *K3_PAIR), 0, '"preset":"k3_elliptic"'),
+        ({"lattice_preset": "abelian_pp"}, None, ("--lattice", "", *AB_PAIR), 0, '"preset":"abelian_pp"'),
+        (None, None, ("--term-budget", "0", "verlinde", "2", "1", "2"), 3, "C(3,1) = 3 > 0"),
+        ({"precision": 30}, None, ("--precision", "0", *ORACLE), 2, FLOOR),
+        # a bad environment value is refused even when the flag is given
+        (None, "x", ("--term-budget", "100", "verlinde", "2", "1", "2"), 2,
+         "error: THETACALC_TERM_BUDGET must be an integer, got 'x'\n"),
+        # config type errors in key order, then lattice_presets, then the
+        # environment, then the output format
+        ({"term_budget": "abc"}, "x", ("verlinde", "2", "1", "2"), 2,
+         "error: config value 'term_budget' must be of type int, got 'abc'\n"),
+        ({"precision": True, "output_format": 3}, None, ("verlinde", "2", "1", "2"), 2,
+         "error: config value 'output_format' must be of type str, got 3\n"),
+        ({"precision": "x", "lattice_preset": 1}, None, ("verlinde", "2", "1", "2"), 2,
+         "error: config value 'lattice_preset' must be of type str, got 1\n"),
+        ({"precision": "x", "lattice_presets": [1]}, None, ("verlinde", "2", "1", "2"), 2,
+         "error: config value 'precision' must be of type int, got 'x'\n"),
+        ({"output_format": "xml"}, "x", ("verlinde", "2", "1", "2"), 2,
+         "error: THETACALC_TERM_BUDGET must be an integer, got 'x'\n"),
+        ({"output_format": "xml"}, None, ("verlinde", "2", "1", "2"), 2,
+         "error: unknown output format 'xml'\n"),
+    ],
+)
+def test_settings_precedence(capsys, monkeypatch, tmp_path, config, env, argv, code, expected):
+    if env is None:
+        monkeypatch.delenv("THETACALC_TERM_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("THETACALC_TERM_BUDGET", env)
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = ("--config", str(path), *argv)
+    got_code, out, err = _run(capsys, *argv)
+    assert got_code == code
+    if code:
+        assert out == "" and (err == expected if expected.startswith("error: ") else expected in err)
+    else:
+        assert expected in out and err == ""
+
+
 def test_csv_format(capsys):
     code, out, _ = _run(capsys, "--format", "csv", "verlinde", "2", "1", "2")
     assert code == 0

@@ -117,6 +117,15 @@ def test_mukai_query_imports_only_its_modules():
     assert not {"thetacalc.power_duality", "thetacalc.elliptic_k3"} & loaded
 
 
+def test_config_file_loads_mukai_only_for_lattice_presets(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text('{"output_format": "csv", "lattice_preset": "abelian_pp", "precision": 20}')
+    argv = ["--config", str(config), "verlinde", "2", "1", "2", "--float-oracle"]
+    assert "thetacalc.mukai" not in _loaded_after(argv)
+    config.write_text('{"lattice_presets": {"x": [[2]]}}')
+    assert "thetacalc.mukai" in _loaded_after(argv)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
