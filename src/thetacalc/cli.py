@@ -28,64 +28,66 @@ ENV_TERM_BUDGET = "THETACALC_TERM_BUDGET"
 FORMATS = ("json", "markdown", "csv")
 
 
-class CliConfig:
-    def __init__(self):
-        self.output_format = "json"
-        self.term_budget = DEFAULT_TERM_BUDGET
-        self.lattice_preset = "k3_elliptic"
-        self.precision = 30
-        self.extra_presets = {}
-
-
 class _UsageError(Exception):
     def __init__(self, parser, message: str):
         super().__init__(message)
         self.parser = parser
 
 
-_CONFIG_TYPES = {"output_format": str, "term_budget": int, "lattice_preset": str, "precision": int}
+# Each config-file key with the dest of its flag and its default; a config
+# value must have the type of its default.
+SETTINGS = {
+    "output_format": ("format", "json"),
+    "term_budget": ("term_budget", DEFAULT_TERM_BUDGET),
+    "lattice_preset": ("lattice", "k3_elliptic"),
+    "precision": ("precision", 30),
+}
 
 
-def _resolve_config(args) -> CliConfig:
-    cfg = CliConfig()
+def _read_json(path: str, kind: str):
+    import json
+
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise DomainError(f"cannot read {kind} file: {exc}")
+
+
+def _resolve_settings(args) -> None:
+    """Set each setting on ``args`` under its flag's dest, and ``args.extra_presets``.
+
+    A flag wins unless it is absent or empty, then THETACALC_TERM_BUDGET
+    for the term budget, then the config file, then the default.
+    """
+    data = {}
     if args.config:
-        import json
-
-        try:
-            data = json.loads(Path(args.config).read_text())
-        except (OSError, ValueError) as exc:
-            raise DomainError(f"cannot read config file: {exc}")
+        data = _read_json(args.config, "config")
         if not isinstance(data, dict):
             raise DomainError("config file must hold a JSON object")
-        for key, kind in _CONFIG_TYPES.items():
-            if key in data:
-                value = data[key]
-                if isinstance(value, bool) or not isinstance(value, kind):
-                    raise DomainError(
-                        f"config value {key!r} must be of type {kind.__name__}, got {value!r}"
-                    )
-                setattr(cfg, key, value)
-        if "lattice_presets" in data:
-            from . import mukai as mk
+    chosen = {}
+    for key, (dest, default) in SETTINGS.items():
+        value = data.get(key, default)
+        if isinstance(value, bool) or not isinstance(value, type(default)):
+            raise DomainError(
+                f"config value {key!r} must be of type {type(default).__name__}, got {value!r}"
+            )
+        chosen[dest] = value
+    args.extra_presets = {}
+    if "lattice_presets" in data:
+        from . import mukai as mk
 
-            cfg.extra_presets = mk.presets_from_json(data["lattice_presets"])
+        args.extra_presets = mk.presets_from_json(data["lattice_presets"])
     env_budget = os.environ.get(ENV_TERM_BUDGET)
     if env_budget is not None:
         try:
-            cfg.term_budget = int(env_budget)
+            chosen["term_budget"] = int(env_budget)
         except ValueError:
             raise DomainError(f"{ENV_TERM_BUDGET} must be an integer, got {env_budget!r}")
-    if args.format:
-        cfg.output_format = args.format
-    if args.term_budget is not None:
-        cfg.term_budget = args.term_budget
-    if args.lattice:
-        cfg.lattice_preset = args.lattice
-    if args.precision is not None:
-        cfg.precision = args.precision
-    if cfg.output_format not in FORMATS:
-        raise DomainError(f"unknown output format {cfg.output_format!r}")
-    return cfg
+    for dest, value in chosen.items():
+        if getattr(args, dest) in (None, ""):
+            setattr(args, dest, value)
+    if args.format not in FORMATS:
+        raise DomainError(f"unknown output format {args.format!r}")
 
 
 def _parse_vector(spec: str, lattice):
@@ -115,11 +117,11 @@ def _vector_dict(v) -> dict:
     return {"rank": _s(v.rank), "c1": [_s(c) for c in v.c1.coords], "point": _s(v.point)}
 
 
-def _cmd_verlinde(args, cfg: CliConfig) -> dict:
+def _cmd_verlinde(args) -> dict:
     from . import verlinde as vl
 
     query = vl.VerlindeQuery(args.r, args.k, args.g)
-    report = vl.check_rank_level_symmetry(query, term_budget=cfg.term_budget)
+    report = vl.check_rank_level_symmetry(query, term_budget=args.term_budget)
     out = {"r": args.r, "k": args.k, "g": args.g}
     out["value"] = _s(report.value)
     if args.modified:
@@ -128,15 +130,15 @@ def _cmd_verlinde(args, cfg: CliConfig) -> dict:
         out["partner_value"] = _s(report.partner_value)
         out["symmetry_holds"] = report.symmetry_holds
     if args.float_oracle:
-        out["float_value"] = vl.dyadic_text(*vl.float_oracle(query, cfg.precision))
+        out["float_value"] = vl.dyadic_text(*vl.float_oracle(query, args.precision))
     out["formula"] = "verlinde_number"
     return out
 
 
-def _cmd_mukai(args, cfg: CliConfig) -> dict:
+def _cmd_mukai(args) -> dict:
     from . import mukai as mk
 
-    lattice = mk.lattice_preset(cfg.lattice_preset, cfg.extra_presets)
+    lattice = mk.lattice_preset(args.lattice, args.extra_presets)
     out = {"preset": lattice.name, "v": args.v}
     v = _parse_vector(args.v, lattice)
     op = args.mukai_op
@@ -187,12 +189,12 @@ def _cmd_mukai(args, cfg: CliConfig) -> dict:
 _ENTRY_TAIL = {1: ",1],[", -1: ",-1],["}
 
 
-def _cmd_duality(args, cfg: CliConfig) -> dict:
+def _cmd_duality(args) -> dict:
     from . import power_duality as pdl
 
     op = args.duality_op
     if op == "wedge":
-        check_budget(args.n, args.k, cfg.term_budget)
+        check_budget(args.n, args.k, args.term_budget)
         matrix = pdl.wedge_duality_matrix(args.n, args.k)
         # Row i pairs with column size-1-i (see WedgeMatrix).  The text is
         # joined in C from the pieces "i", ",", "size-1-i" and ",s],[" of
@@ -219,7 +221,7 @@ def _cmd_duality(args, cfg: CliConfig) -> dict:
         out["formula"] = "wedge_complement_pairing"
         return out
     if op == "sym":
-        check_budget(args.wdim + args.n - 1, args.n, cfg.term_budget)
+        check_budget(args.wdim + args.n - 1, args.n, args.term_budget)
         matrix = pdl.sym_duality_matrix(args.wdim, args.n)
         return {
             "w_dim": args.wdim,
@@ -231,19 +233,14 @@ def _cmd_duality(args, cfg: CliConfig) -> dict:
             "formula": "symmetric_power_pairing",
         }
     # theta-vanishes
-    import json
-
-    try:
-        data = json.loads(Path(args.points).read_text())
-    except (OSError, ValueError) as exc:
-        raise DomainError(f"cannot read points file: {exc}")
+    data = _read_json(args.points, "points")
     try:
         model = pdl.parse_model(data["model"])
         z_points, w_points = pdl.parse_points(data)
     except (KeyError, ValueError, TypeError) as exc:
         raise DomainError(f"malformed points file: {exc}")
     rows, scale = pdl.theta_integer_rows(z_points, w_points, model)
-    check_budget(len(model), len(z_points), cfg.term_budget)
+    check_budget(len(model), len(z_points), args.term_budget)
     # By Laplace expansion along the rows of Z the wedge pairing is the determinant.
     value = pdl.ratio_text(*pdl.reduced(pdl.bareiss_det(rows), scale))
     return {
@@ -257,7 +254,7 @@ def _cmd_duality(args, cfg: CliConfig) -> dict:
     }
 
 
-def _cmd_elliptic(args, cfg: CliConfig) -> dict:
+def _cmd_elliptic(args) -> dict:
     from . import elliptic_k3 as ek
 
     op = args.elliptic_op
@@ -548,8 +545,8 @@ def main(argv=None) -> int:
             return 64
     args = SimpleNamespace(**args)
     try:
-        cfg = _resolve_config(args)
-        out = args.handler(args, cfg)
+        _resolve_settings(args)
+        out = args.handler(args)
     except TermBudgetError as exc:
         _report(f"error: {exc}")
         return 3
@@ -560,7 +557,7 @@ def main(argv=None) -> int:
         _report(f"error: {exc}")
         return 2
     try:
-        print(_render(out, cfg.output_format))
+        print(_render(out, args.format))
         if sys.stdout is not None:
             sys.stdout.flush()
     except OSError as exc:

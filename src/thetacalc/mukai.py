@@ -230,16 +230,17 @@ def chi_abelian(v: MukaiVector, w: MukaiVector, variant: str) -> int:
         raise DomainError(f"dv + dw must be >= 3, got {a + b}")
     if a < 1:
         return 0  # C(a+b-2, a-1) vanishes; math.comb refuses a negative lower index
-    from fractions import Fraction  # only here, so other queries do not load it
-
     binom = math.comb(a + b - 2, a - 1)
     if variant == "albanese_plus":
-        value = Fraction(c1_tensor(v, w).self_intersection * binom, 2 * (a + b - 2))
+        num, den = c1_tensor(v, w).self_intersection * binom, 2 * (a + b - 2)
     else:
-        value = Fraction((a - 1) ** 2 * binom, a + b - 2)
-    if value.denominator != 1:
-        raise NotIntegralError(value)
-    return int(value)
+        num, den = (a - 1) ** 2 * binom, a + b - 2
+    value, remainder = divmod(num, den)
+    if remainder:
+        from fractions import Fraction  # only for the message, so queries do not load it
+
+        raise NotIntegralError(Fraction(num, den))
+    return value
 
 
 def fm_transform(v: MukaiVector) -> MukaiVector:

@@ -276,13 +276,6 @@ def _coordinate(c, pair) -> tuple[int, int]:
     return reduced(num, den)
 
 
-def _powers(base: int, top: int) -> list[int]:
-    powers = [1]
-    for _ in range(top):
-        powers.append(powers[-1] * base)
-    return powers
-
-
 def theta_integer_rows(z_points, w_points, model) -> tuple[list[list[int]], int]:
     """Integer evaluation rows of Z followed by W, and the product of their scales.
 
@@ -319,12 +312,10 @@ def theta_integer_rows(z_points, w_points, model) -> tuple[list[list[int]], int]
     rows = []
     scale = 1
     for (a, b), (c, d) in points:
-        pa, pb = _powers(a, hx - lx), _powers(b, hx - lx)
-        pc, pd = _powers(c, hy - ly), _powers(d, hy - ly)
         rows.append(
-            [pa[ex - lx] * pb[hx - ex] * pc[ey - ly] * pd[hy - ey] for ex, ey in model]
+            [a ** (ex - lx) * b ** (hx - ex) * c ** (ey - ly) * d ** (hy - ey) for ex, ey in model]
         )
-        scale *= pa[-lx] * pb[hx] * pc[-ly] * pd[hy]
+        scale *= a**-lx * b**hx * c**-ly * d**hy
     return rows, scale
 
 

@@ -196,6 +196,11 @@ def check_rank_level_symmetry(
 
 
 _LOG2_10 = math.log(10, 2)
+# The float oracle's precision bounds in decimal digits: the floor is the 15
+# digits it prints, and the ceiling bounds the width of its integers (at
+# 10,000 digits, r = k = 4 and g = 10 take about a second).
+_MIN_PRECISION = 15
+_MAX_PRECISION = 10_000
 # Guard bits of the float oracle's result, and the bits of the fixed point
 # that the printed digits are floored from: 18 decimal digits and 10 more.
 _GUARD = 6
@@ -285,8 +290,10 @@ def float_oracle(query: VerlindeQuery, precision: int = 30) -> tuple[int, int]:
     sum that is an integer of at most P bits therefore comes out exact.
     Returns the exact dyadic (m, e); `dyadic_text` prints it.
     """
-    if precision < 15:
-        raise DomainError("float oracle precision must be >= 15 digits")
+    if precision < _MIN_PRECISION:
+        raise DomainError(f"float oracle precision must be >= {_MIN_PRECISION} digits")
+    if precision > _MAX_PRECISION:
+        raise DomainError(f"float oracle precision must be <= {_MAX_PRECISION} digits")
     r, k, g = query.rank, query.level, query.genus
     n = r + k
     power = g - 1

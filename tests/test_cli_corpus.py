@@ -109,6 +109,7 @@ def _refusals():
     yield ["verlinde", "0", "1", "2"]
     yield ["verlinde", "2", "1", "1"]
     yield ["--precision", "10", "verlinde", "2", "1", "2", "--float-oracle"]
+    yield ["--precision", "10001", "verlinde", "2", "1", "2", "--float-oracle"]
     yield ["--lattice", "no_such_lattice", "mukai", "fm", "--v=1:0,0:0"]
     yield ["mukai", "fm", "--v=2:1,0:-1"]
     yield ["mukai", "chi-k3", "--v=2:1,-1:1", "--w=1:0,1:-1"]

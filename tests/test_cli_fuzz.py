@@ -225,7 +225,7 @@ def test_fast_parse_accepts_every_op():
         fast = _fast_parse(argv)
         assert fast is not None, argv
         assert fast == _argparse_vars(argv)
-        # every global option is set, so _resolve_config reads them as attributes
+        # every global option is set, so _resolve_settings reads them as attributes
         assert {_dest(flag) for flag in GLOBAL_OPTIONS} <= fast.keys()
         seen.add((fast["command"], fast.get(f"{fast['command']}_op")))
     assert seen == {(command, op) for command, (_, _, ops) in COMMANDS.items() for op in ops}

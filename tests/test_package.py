@@ -190,6 +190,7 @@ def test_queries_do_not_load_json(argv, fmt):
         ["duality", "sym", "2", "3"],
         ["mukai", "pair", "--v=1:0,1:-1", "--w=2:1,3:-1"],
         ["mukai", "chi-k3", "--v=1:0,1:-1", "--w=2:1,3:-1"],
+        ["--lattice", "abelian_pp", "mukai", "chi-abelian", "--v=1:1:0", "--w=1:2:4"],
         ["elliptic", "dims", "2", "2", "8", "10"],
     ],
 )

@@ -29,6 +29,7 @@ from thetacalc.power_duality import (
     parse_points,
     parse_ratios,
     sym_duality_matrix,
+    theta_integer_rows,
     theta_vanishes,
     wedge_coefficients,
     wedge_duality_matrix,
@@ -304,6 +305,21 @@ def test_theta_laurent_model_poles():
     with pytest.raises(DomainError, match="pole"):
         theta_vanishes(points[:2], [(Fraction(5), Fraction(0))], model)
 
+
+
+def test_theta_rows_memory_grows_with_the_entries_not_the_exponent_span():
+    # rows [[1, 2^S], [1, 3^S]] take about 8 kB at S = 20,000; a table of
+    # every power of 2 and 3 up to S would take about 60 MB
+    span = 20_000
+    one = (1, 1)
+    tracemalloc.start()
+    try:
+        rows, scale = theta_integer_rows([((2, 1), one)], [((3, 1), one)], ((0, 0), (span, 0)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert (rows, scale) == ([[1, 2**span], [1, 3**span]], 1)
 
 # Reference implementations: one Fraction Gaussian elimination per minor.
 

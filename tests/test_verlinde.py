@@ -353,6 +353,14 @@ def test_float_oracle_precision_floor():
         float_oracle(VerlindeQuery(2, 1, 2), precision=10)
 
 
+def test_float_oracle_precision_ceiling():
+    # refused before any work: a million digits would run for minutes
+    for precision in (10_001, 10**6):
+        with pytest.raises(DomainError, match="precision must be <= 10000 digits"):
+            float_oracle(VerlindeQuery(2, 1, 2), precision=precision)
+    assert dyadic(float_oracle(VerlindeQuery(1, 1, 2), precision=10_000)) == 1
+
+
 def test_float_oracle_higher_precision():
     value = dyadic(float_oracle(VerlindeQuery(2, 2, 2), precision=40))
     assert abs(value - 10) < Fraction(1, 10**30)
