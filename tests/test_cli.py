@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import os
@@ -15,6 +17,8 @@ from hypothesis import strategies as st
 from thetacalc.cli import _json_text, _Rendered, main
 from thetacalc.errors import TermBudgetError, check_budget
 from thetacalc.verlinde import VerlindeQuery, verlinde_number
+
+from conftest import subsets_colex
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -228,6 +232,76 @@ def test_duality_sym(capsys):
     assert payload["diagonal"] == ["1", "2", "1"]
     assert payload["full_rank"] is True
     _check_golden("duality_sym_2_2.json", out)
+
+
+def _rendered(out: dict, fmt: str) -> str:
+    """The bytes the CLI prints for ``out`` in ``fmt``, rendered with ``json`` and ``csv``."""
+    cells = [(key, v if isinstance(v, str) else json.dumps(v, separators=(",", ":"))) for key, v in out.items()]
+    if fmt == "json":
+        return json.dumps(out, separators=(",", ":")) + "\n"
+    if fmt == "markdown":
+        return "".join(f"| {key} | {value} |\n" for key, value in [("key", "value"), ("---", "---"), *cells])
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows([("key", "value"), *cells])
+    return buffer.getvalue()
+
+
+def _wedge_payload(n: int, k: int) -> dict:
+    """The wedge result from colex subsets, complements and shuffle signs."""
+    cols = {t: j for j, t in enumerate(subsets_colex(n, n - k))}
+    entries = [
+        [i, cols[tuple(x for x in range(1, n + 1) if x not in s)], (-1) ** (sum(s) - k * (k + 1) // 2)]
+        for i, s in enumerate(subsets_colex(n, k))
+    ]
+    size = len(entries)
+    # The permutation i -> size-1-i has C(size, 2) inversions.
+    determinant = (-1) ** math.comb(size, 2) * math.prod(sign for _, _, sign in entries)
+    return {
+        "n": n,
+        "k": k,
+        "size": str(size),
+        "index_order": "colex",
+        "determinant": str(determinant),
+        "entries": entries,
+    }
+
+
+@pytest.mark.parametrize("fmt", ["json", "markdown", "csv"])
+@pytest.mark.parametrize("n", range(15))
+def test_duality_wedge_bytes_in_every_format(capsys, tmp_path, fmt, n):
+    """Every byte of each wedge with n <= 14, with and without ``--export``, up to C(14,7) = 3432 entries."""
+    target = str(tmp_path / "m.json")
+    for k in range(n + 1):
+        payload = _wedge_payload(n, k)
+        for export in ([], ["--export", target]):
+            code, out, err = _run(capsys, "--format", fmt, "duality", "wedge", str(n), str(k), *export)
+            expected = {**payload, **dict(zip(["exported"], export[1:]))}
+            expected["formula"] = "wedge_complement_pairing"
+            assert (code, err) == (0, "")
+            assert out == _rendered(expected, fmt)
+        exported = {key: payload[key] for key in ("n", "k", "index_order", "entries")}
+        assert Path(target).read_text() == _rendered(exported, "json")
+
+
+@pytest.mark.parametrize("fmt", ["json", "markdown", "csv"])
+def test_duality_sym_bytes_in_every_format(capsys, fmt):
+    """Every byte of ``duality sym 3 40``: C(42,2) = 861 monomials, descending lex, with n!/alpha!."""
+    monomials = sorted(((a, b, 40 - a - b) for a in range(41) for b in range(41 - a)), reverse=True)
+    diagonal = [
+        str(math.factorial(40) // math.prod(math.factorial(e) for e in alpha)) for alpha in monomials
+    ]
+    expected = {
+        "w_dim": 3,
+        "n": 40,
+        "size": "861",
+        "monomials": [list(alpha) for alpha in monomials],
+        "diagonal": diagonal,
+        "full_rank": True,
+        "formula": "symmetric_power_pairing",
+    }
+    code, out, err = _run(capsys, "--format", fmt, "duality", "sym", "3", "40")
+    assert (code, err) == (0, "")
+    assert out == _rendered(expected, fmt)
 
 
 def test_duality_theta_vanishes(capsys, tmp_path):
