@@ -10,10 +10,9 @@ usage error.
 
 from __future__ import annotations
 
-import io
 import os
 import sys
-from itertools import chain, repeat
+from itertools import chain, islice
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -186,9 +185,6 @@ def _cmd_mukai(args) -> dict:
     return out
 
 
-_ENTRY_TAIL = {1: ",1],[", -1: ",-1],["}
-
-
 def _cmd_duality(args) -> dict:
     from . import power_duality as pdl
 
@@ -196,17 +192,15 @@ def _cmd_duality(args) -> dict:
     if op == "wedge":
         check_budget(args.n, args.k, args.term_budget)
         matrix = pdl.wedge_duality_matrix(args.n, args.k)
-        # Row i pairs with column size-1-i (see WedgeMatrix).  The text is
-        # joined in C from the pieces "i", ",", "size-1-i" and ",s],[" of
-        # each entry; the last entry's "," and "[" are cut off.
-        index = list(map(str, range(matrix.size)))
-        tails = map(_ENTRY_TAIL.__getitem__, matrix.signs)
-        body = "".join(chain.from_iterable(zip(index, repeat(","), reversed(index), tails)))
-        entries = _Rendered("[[" + body[:-2] + "]")
+        size, signs = matrix.size, matrix.signs
+        # Row i pairs with column size-1-i (see WedgeMatrix).
+        entries = _Blocks(
+            size, "[%d,%d,%d]", lambda: chain.from_iterable(zip(range(size), range(size - 1, -1, -1), signs))
+        )
         out = {
             "n": args.n,
             "k": args.k,
-            "size": _s(matrix.size),
+            "size": _s(size),
             "index_order": "colex",
             "determinant": _s(matrix.determinant()),
             "entries": entries,
@@ -214,7 +208,8 @@ def _cmd_duality(args) -> dict:
         if args.export:
             exported = {"n": args.n, "k": args.k, "index_order": "colex", "entries": entries}
             try:
-                Path(args.export).write_text(_json_text(exported) + "\n")
+                with open(args.export, "w") as file:
+                    _write(exported, "json", file)
             except OSError as exc:
                 raise DomainError(f"cannot write export file: {exc}")
             out["exported"] = args.export
@@ -223,12 +218,14 @@ def _cmd_duality(args) -> dict:
     if op == "sym":
         check_budget(args.wdim + args.n - 1, args.n, args.term_budget)
         matrix = pdl.sym_duality_matrix(args.wdim, args.n)
+        monomials, diagonal = matrix.monomials, matrix.diagonal
+        exponents = "[" + ",".join(["%d"] * args.wdim) + "]"
         return {
             "w_dim": args.wdim,
             "n": args.n,
             "size": _s(matrix.size),
-            "monomials": [list(alpha) for alpha in matrix.monomials],
-            "diagonal": [_s(d) for d in matrix.diagonal],
+            "monomials": _Blocks(matrix.size, exponents, lambda: chain.from_iterable(monomials)),
+            "diagonal": _Blocks(matrix.size, '"%s"', lambda: map(_s, diagonal)),
             "full_rank": matrix.full_rank,
             "formula": "symmetric_power_pairing",
         }
@@ -476,8 +473,34 @@ def _build_parser():
     return parser
 
 
-class _Rendered(str):
-    """JSON text that is already rendered: ``_json_text`` inserts it as it is."""
+# Items of a _Blocks list per piece of text, so that a result holds the text
+# of one block at a time, however long its lists.
+_BLOCK = 512
+
+
+class _Blocks:
+    """A list result that grows with the term budget, as JSON text written in pieces.
+
+    ``values()`` gives a fresh iterator over the values of the ``size``
+    items in turn, as many for each item as ``template`` has ``%`` fields.
+    Iteration yields ``"["``, the text of each block of ``_BLOCK`` items,
+    formatted by one ``%`` at C level, and ``"]"``.
+    """
+
+    __slots__ = ("size", "template", "values")
+
+    def __init__(self, size: int, template: str, values):
+        self.size, self.template, self.values = size, template, values
+
+    def __iter__(self):
+        values = self.values()
+        width = self.template.count("%")
+        first, later = self.template, "," + self.template
+        yield "["
+        while block := tuple(islice(values, _BLOCK * width)):
+            yield (first + later * (len(block) // width - 1)) % block
+            first = later
+        yield "]"
 
 
 def _json_text(value) -> str:
@@ -487,8 +510,6 @@ def _json_text(value) -> str:
     string that is not printable ASCII without ``"`` and ``\\`` loads json.
     """
     if isinstance(value, str):
-        if type(value) is _Rendered:
-            return value
         if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
             return f'"{value}"'
         import json
@@ -505,24 +526,47 @@ def _json_text(value) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _render(out: dict, fmt: str) -> str:
+def _write(out: dict, fmt: str, stream) -> None:
+    """Write ``out`` in ``fmt`` and a newline to ``stream``, a ``_Blocks`` value piece by piece.
+
+    In markdown and csv a str value is its cell as it is, and any other
+    value its JSON text.
+    """
+    write = stream.write
     if fmt == "json":
-        return _json_text(out)
+        lead = "{"
+        for key, value in out.items():
+            write(f"{lead}{_json_text(key)}:")
+            stream.writelines(value if type(value) is _Blocks else (_json_text(value),))
+            lead = ","
+        write("}\n")
+        return
     cells = [
-        (key, value if isinstance(value, str) else _json_text(value))
+        (key, value if isinstance(value, (str, _Blocks)) else _json_text(value))
         for key, value in out.items()
     ]
     if fmt == "markdown":
-        lines = ["| key | value |", "| --- | --- |"]
-        lines += [f"| {key} | {value} |" for key, value in cells]
-        return "\n".join(lines)
+        write("| key | value |\n| --- | --- |\n")
+        for key, value in cells:
+            write(f"| {key} | ")
+            stream.writelines(value if type(value) is _Blocks else (value,))
+            write(" |\n")
+        return
     import csv
 
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["key", "value"])
-    writer.writerows(cells)
-    return buffer.getvalue().rstrip("\n")
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(("key", "value"))
+    for key, value in cells:
+        if type(value) is _Blocks:
+            if value.size > 1:
+                # A list of two or more items has a ",", so csv quotes it,
+                # doubling each '"'.  The keys need no quotes.
+                write(f'{key},"')
+                stream.writelines(piece.replace('"', '""') for piece in value)
+                write('"\n')
+                continue
+            value = "".join(value)
+        writer.writerow((key, value))
 
 
 def _report(text: str) -> None:
@@ -557,8 +601,8 @@ def main(argv=None) -> int:
         _report(f"error: {exc}")
         return 2
     try:
-        print(_render(out, args.format))
         if sys.stdout is not None:
+            _write(out, args.format, sys.stdout)
             sys.stdout.flush()
     except OSError as exc:
         _report(f"error: cannot write output: {exc}")

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from thetacalc.cli import _json_text, _Rendered, main
+from thetacalc import cli
+from thetacalc.cli import FORMATS, _Blocks, _json_text, _write, main
 from thetacalc.errors import TermBudgetError, check_budget
 from thetacalc.verlinde import VerlindeQuery, verlinde_number
 
@@ -734,13 +735,40 @@ def test_json_text_equals_compact_json_dumps(value):
     assert _json_text(value) == json.dumps(value, separators=(",", ":"))
 
 
-def test_json_text_inserts_rendered_text_and_refuses_other_types():
-    entries = _Rendered("[[0,1,-1],[1,0,1]]")
-    text = _json_text({"entries": entries, "rows": [entries], "name": "\u00e9"})
-    assert text == '{"entries":[[0,1,-1],[1,0,1]],"rows":[[[0,1,-1],[1,0,1]]],"name":"\\u00e9"}'
-    for value in (1.5, None, b"ab", {1, 2}, {"x": 0.5}, [range(2)]):
+def test_write_puts_block_text_in_place_and_json_text_refuses_other_types():
+    entries = _Blocks(2, "[%d,%d,%d]", (0, 1, -1, 1, 0, 1).__iter__)
+    buffer = io.StringIO()
+    _write({"entries": entries, "name": "\u00e9"}, "json", buffer)
+    assert buffer.getvalue() == '{"entries":[[0,1,-1],[1,0,1]],"name":"\\u00e9"}\n'
+    for value in (1.5, None, b"ab", {1, 2}, {"x": 0.5}, [range(2)], entries, [entries]):
         with pytest.raises(TypeError):
             _json_text(value)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 512])
+def test_blocks_of_every_length_in_every_format(monkeypatch, block):
+    """Lists of 0-7 items, cut into blocks of 1, 2, 3 and 512: empty, exact multiples and a
+    remainder; in csv a one-item list with and without a "," or a '"', which csv quotes."""
+    monkeypatch.setattr(cli, "_BLOCK", block)
+    for size in range(8):
+        pairs = [value for i in range(size) for value in (i, -i)]
+        words = [str(10**i) for i in range(size)]
+        out = {
+            "size": size,
+            "pairs": _Blocks(size, "[%d,%d]", pairs.__iter__),
+            "words": _Blocks(size, '"%s"', words.__iter__),
+            "singles": _Blocks(size, "[%d]", range(size).__iter__),
+        }
+        expected = {
+            "size": size,
+            "pairs": [[i, -i] for i in range(size)],
+            "words": words,
+            "singles": [[i] for i in range(size)],
+        }
+        for fmt in FORMATS:
+            buffer = io.StringIO()
+            _write(out, fmt, buffer)
+            assert buffer.getvalue() == _rendered(expected, fmt)
 
 
 def test_module_entry_point():

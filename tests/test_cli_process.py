@@ -230,3 +230,38 @@ def test_main_reports_a_failed_write(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdout", _FailingStream())
     assert main(["verlinde", "2", "1", "2"]) == 2
     assert capsys.readouterr().err == "error: cannot write output: [Errno 28] No space left on device\n"
+
+
+# Runs argv[1:] with stdout on /dev/null and prints its exit code and max-RSS.
+# Spawned from this helper (under -I -S) rather than forked from pytest, the
+# query's max-RSS does not inherit pytest's, which exec would carry over.
+_PEAK_RSS = """\
+import os, sys
+null = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ, file_actions=null)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _peak_rss_mb(argv) -> float:
+    result = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", _PEAK_RSS, sys.executable, "-m", "thetacalc.cli", *argv],
+        capture_output=True,
+        cwd=ROOT,
+        env=_env(),
+        timeout=TIMEOUT,
+        check=True,
+    )
+    code, maxrss = map(int, result.stdout.split())
+    assert code == 0, result.stderr
+    # ru_maxrss counts bytes on macOS and KiB elsewhere.
+    return maxrss / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4") or not hasattr(os, "posix_spawn"), reason="no os.wait4")
+def test_peak_memory_does_not_grow_with_the_output():
+    """``duality wedge 20 10`` prints 3.2 MB of entries but peaks within 8 MB of ``duality wedge 2 1``."""
+    small = _peak_rss_mb(["duality", "wedge", "2", "1"])
+    large = _peak_rss_mb(["duality", "wedge", "20", "10"])
+    assert large - small <= 8, (small, large)

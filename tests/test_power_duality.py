@@ -24,7 +24,6 @@ from thetacalc.power_duality import (
     det_exact,
     evaluation_covector,
     monomial_exponents,
-    multinomial,
     parse_model,
     parse_points,
     parse_ratios,
@@ -222,12 +221,15 @@ def test_monomial_exponents_order():
     assert monomial_exponents(1, 5) == ((5,),)
 
 
-def test_multinomial_against_permutation_count():
-    for alpha in ((2, 0), (1, 1), (2, 1), (1, 1, 1), (3, 1), (2, 2)):
-        letters = []
-        for symbol, count in enumerate(alpha):
-            letters += [symbol] * count
-        assert multinomial(alpha) == len(set(permutations(letters)))
+def test_sym_diagonal_against_permutation_count():
+    """The entry of x^alpha, n!/alpha!, counts the words with alpha_i letters i."""
+    for w_dim, n in ((2, 2), (2, 3), (3, 3), (2, 4), (3, 4), (4, 4), (3, 5), (1, 5)):
+        matrix = sym_duality_matrix(w_dim, n)
+        for alpha, entry in zip(matrix.monomials, matrix.diagonal):
+            letters = []
+            for symbol, count in enumerate(alpha):
+                letters += [symbol] * count
+            assert entry == len(set(permutations(letters)))
 
 
 def test_sym_duality_matrix_examples():
