@@ -375,6 +375,5 @@ def sym_duality_matrix(w_dim: int, n: int) -> SymDualityMatrix:
     # n!/alpha! is the product of C(s_i, alpha_i) over the partial sums s_i of
     # alpha.  A table of 0!..n! is faster where w_dim >= 3, but at w_dim = 2,
     # where n reaches the term budget, it holds about n^2 log2(n) / 2 bits.
-    comb, prod = math.comb, math.prod
-    diagonal = tuple(prod(map(comb, accumulate(alpha), alpha)) for alpha in monomials)
+    diagonal = tuple(math.prod(map(math.comb, accumulate(alpha), alpha)) for alpha in monomials)
     return SymDualityMatrix(w_dim, n, monomials, diagonal)
