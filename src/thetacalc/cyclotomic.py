@@ -166,7 +166,11 @@ class CycloElement(Frozen):
                 for j, bj in enumerate(b):
                     if bj:
                         conv[i + j] += ai * bj
-        return CycloElement(self.order, _reduced(real_cyclotomic_polynomial(self.order), conv))
+        # The reduced product has the right length: skip the constructor's check.
+        product = object.__new__(CycloElement)
+        _set_order(product, self.order)
+        _set_coeffs(product, _reduced(real_cyclotomic_polynomial(self.order), conv))
+        return product
 
     __rmul__ = __mul__
 
@@ -185,6 +189,11 @@ class CycloElement(Frozen):
             if not exponent:
                 return result
             base = base * base
+
+
+# The slot setters, which bypass Frozen's refusal of assignment.
+_set_order = CycloElement.order.__set__
+_set_coeffs = CycloElement.coeffs.__set__
 
 
 @lru_cache(maxsize=None)

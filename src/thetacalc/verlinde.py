@@ -25,6 +25,9 @@ Five identities of the sum cut the work without changing its value:
 * Rotation.  Cyclic distances, and hence terms, do not change when
   {0..n-1} is rotated mod n.  Each subset meets 0 in k' of its n
   rotations, so Sigma = (n/k') * (sum over the k'-subsets containing 0).
+  Those subsets fall into rotation classes, one per necklace of gaps
+  (a_1, ..., a_k'), a_i >= 1 summing to n; a necklace of period p holds
+  p of them.  So the sum takes one term per necklace, weighted by p.
 * Square.  Below d = n/2 every folded exponent e is even, so the factor
   of distance d is (4*sin^2(pi*d/n))^((e/2)(g-1)), and 4*sin^2(pi*d/n) =
   2 - 2*cos(2*pi*d/n) lies in Q(theta).  At d = n/2 the factor is the
@@ -73,8 +76,9 @@ class VerlindeReport(Frozen):
 
     `symmetry_holds` compares v_{r,k} * k^g with v_{k,r} * r^g.  Both
     values come from the same sum, so this is an identity of the formula
-    and cannot fail; the independent check of the sum is the fusion-ring
-    count in the tests.
+    and cannot fail.  The sum is checked independently in the tests: by
+    the fusion-ring count, and by the laws of v_{r,k} as a polynomial in
+    the level k, which tie sums at different n.
     """
 
     __slots__ = ("query", "value", "modified_value", "partner_value", "symmetry_holds")
@@ -89,9 +93,14 @@ def _distance_exponent_groups(n: int, k: int) -> tuple[tuple[tuple[int, ...], in
     distances to the other n-1 elements (two at each d < n/2, one at
     d = n/2), so the vector is k' times that row minus two per pair inside
     S.  Many subsets share a vector; the sum then needs one product per
-    distinct vector, weighted by multiplicity.  The multiplicities add up
-    to C(n-1, k'-1), the subsets containing 0; groups are returned sorted,
-    so results are reproducible.
+    distinct vector, weighted by multiplicity.
+
+    Rotation does not change the vector, so one subset per rotation class
+    is enough: the necklace of its gaps, from `_gap_necklaces`, with
+    positions 0, a_1, a_1 + a_2, ...  A necklace of period p stands for the
+    p subsets containing 0 in its class, so it weighs p, and the
+    multiplicities still add up to C(n-1, k'-1).  Groups are returned
+    sorted, so results are reproducible.
     """
     kp = min(k, n - k)
     half = n // 2
@@ -100,14 +109,58 @@ def _distance_exponent_groups(n: int, k: int) -> tuple[tuple[tuple[int, ...], in
     if n % 2 == 0:
         full_row[half] = kp
     groups: Counter[tuple[int, ...]] = Counter()
-    for rest in combinations(range(1, n), kp - 1):
-        subset = (0, *rest)
+    for subset, period in _gap_necklaces(n, kp):
         counts = full_row.copy()
         for i, s in enumerate(subset):
             for t in subset[i + 1 :]:
                 counts[cyclic[t - s]] -= 2
-        groups[tuple(counts[1:])] += 1
+        groups[tuple(counts[1:])] += period
     return tuple(sorted(groups.items()))
+
+
+def _gap_necklaces(n: int, kp: int):
+    """(positions, period) of one k'-subset of Z/n containing 0 per rotation class, k' >= 1.
+
+    A subset containing 0 is its gaps (a_1, ..., a_k'), a_i >= 1 summing to
+    n, and rotating the subset onto another of its elements rotates the
+    gaps.  So the classes are the necklaces of gaps, each written as its
+    least rotation.  They come from the FKM prenecklace walk in lex order
+    (Cattell, Ruskey, Sawada, Serra, Miers, J. Algorithms 37, 2000): a_t
+    runs from a_(t-p) up, where p is the period of a_1..a_(t-1), and the
+    period becomes t when a_t exceeds a_(t-p).  A necklace is a
+    prenecklace whose period divides k'.  No gap is smaller than a_1, so
+    a_t may take at most what leaves a_1 for each later gap, and the last
+    gap is what remains of n.  The walk keeps the chosen gaps in lists and
+    backtracks in a loop, so its depth does not grow with k'.  Yields the
+    positions 0, a_1, a_1 + a_2, ... as a list that the next step reuses.
+    """
+    gaps = [1] * (kp + 1)  # gaps[0] is a sentinel: a_1 has period 1 whatever its value
+    period = [1] * kp  # period[t] of a_1..a_t
+    pos = [0] * kp  # pos[t] = a_1 + ... + a_t, the position of element t
+    t, v = 1, 1  # try gap v at position t
+    while True:
+        if t < kp:
+            least = v if t == 1 else gaps[1]
+            if v + (kp - t) * least <= n - pos[t - 1]:
+                p = period[t - 1]
+                gaps[t] = v
+                period[t] = p if v == gaps[t - p] else t
+                pos[t] = pos[t - 1] + v
+                t += 1
+                v = gaps[t - period[t - 1]]
+                continue
+        else:
+            v = n - pos[t - 1]
+            p = period[t - 1]
+            if v >= gaps[t - p]:
+                if v > gaps[t - p]:
+                    p = t
+                if kp % p == 0:
+                    yield pos, p
+        t -= 1
+        if not t:
+            return
+        v = gaps[t] + 1
 
 
 def _galois_orbits(n: int, groups) -> list[tuple[tuple[int, ...], int]]:

@@ -23,6 +23,7 @@ from thetacalc.errors import ArithmeticBugError, DomainError, NotIntegralError, 
 from thetacalc.verlinde import (
     VerlindeQuery,
     _distance_exponent_groups,
+    _gap_necklaces,
     _integral,
     check_rank_level_symmetry,
     dyadic_text,
@@ -224,6 +225,58 @@ def test_galois_check_can_fail(monkeypatch, capsys, corrupt):
     assert "Galois check failed" in capsys.readouterr().err
 
 
+def _brute_force_groups(n: int, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The distance groups of every k'-subset of Z/n containing 0, one subset at a time.
+
+    The grouping the package used before it walked necklaces: no rotation
+    classes, so it checks the necklace walk and its period weights.
+    """
+    kp = min(k, n - k)
+    half = n // 2
+    cyclic = [min(d, n - d) for d in range(n)]
+    full_row = [0] + [2 * kp] * half
+    if n % 2 == 0:
+        full_row[half] = kp
+    groups: Counter[tuple[int, ...]] = Counter()
+    for rest in combinations(range(1, n), kp - 1):
+        subset = (0, *rest)
+        counts = full_row.copy()
+        for i, s in enumerate(subset):
+            for t in subset[i + 1 :]:
+                counts[cyclic[t - s]] -= 2
+        groups[tuple(counts[1:])] += 1
+    return tuple(sorted(groups.items()))
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_necklace_groups_equal_brute_force_small(n):
+    for k in range(1, n):
+        assert _distance_exponent_groups(n, k) == _brute_force_groups(n, k), k
+
+
+@pytest.mark.parametrize("n,k", [(16, 8), (18, 9), (20, 9), (20, 10)])
+def test_necklace_groups_equal_brute_force_balanced(n, k):
+    assert _distance_exponent_groups(n, k) == _brute_force_groups(n, k)
+
+
+def test_necklace_group_counts_at_twenty():
+    groups = _distance_exponent_groups(20, 10)
+    assert len(groups) == 2_377
+    assert sum(multiplicity for _, multiplicity in groups) == math.comb(19, 9) == 92_378
+
+
+def test_gap_necklaces_do_not_recurse():
+    """1,000 gaps summing to 1,001 form one necklace; a recursive walk would go 1,000 calls deep."""
+    necklaces = [(list(positions), period) for positions, period in _gap_necklaces(1_001, 1_000)]
+    assert necklaces == [(list(range(1_000)), 1_000)]
+
+
+def test_gap_necklaces_weigh_their_period():
+    """(1, 2, 1, 2) has period 2: of its four rotations only two differ."""
+    necklaces = {tuple(positions): period for positions, period in _gap_necklaces(6, 4)}
+    assert necklaces == {(0, 1, 2, 3): 4, (0, 1, 2, 4): 4, (0, 1, 3, 4): 2}
+
+
 def test_su2_fusion_ring_oracle():
     assert _su2_fusion_count(1, 2) == 4 and _su2_fusion_count(2, 2) == 10
     for k in range(1, 9):
@@ -256,6 +309,50 @@ def test_fusion_ring_oracle():
         for r in range(1, n):
             for g in range(2, 5):
                 assert verlinde_number(VerlindeQuery(r, n - r, g)) == fusion_count(r, n - r, g)
+
+
+def _level_differences(r: int, g: int) -> tuple[int, list[list[int]]]:
+    """D = (r^2-1)(g-1) and the forward differences of v_{r,k} over k = 1..D+3, row j the j-th."""
+    degree = (r * r - 1) * (g - 1)
+    rows = [[verlinde_number(VerlindeQuery(r, k, g)) for k in range(1, degree + 4)]]
+    while len(rows[-1]) > 1:
+        rows.append([b - a for a, b in zip(rows[-1], rows[-1][1:])])
+    return degree, rows
+
+
+def _binomial(y: int, j: int) -> int:
+    """C(y, j) for any integer y: j consecutive integers over j!, which divides them."""
+    return math.prod(range(y - j + 1, y + 1)) // math.factorial(j)
+
+
+@pytest.mark.parametrize("r,g", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2)])
+def test_level_polynomial_laws(r, g):
+    """v_{r,k} is a polynomial P(k) of degree D = (r^2-1)(g-1): the Hilbert polynomial.
+
+    P(0) = 1, P vanishes at -1..-(2r-1), and Serre duality with K = Theta^(-2r)
+    gives P(-k-2r) = (-1)^D P(k).  The laws tie values at different k, so at
+    different n, fields Q(theta_n) and distance groups, and share nothing of
+    the per-n sum.
+    """
+    degree, rows = _level_differences(r, g)
+    assert rows[degree + 1] == [0, 0]
+    assert rows[degree][0] != 0
+
+    def level_polynomial(x: int) -> int:
+        # Newton's forward form from k = 1.
+        return sum(row[0] * _binomial(x - 1, j) for j, row in enumerate(rows[: degree + 1]))
+
+    assert level_polynomial(0) == 1
+    assert [level_polynomial(-j) for j in range(1, 2 * r)] == [0] * (2 * r - 1)
+    for k, value in enumerate(rows[0], start=1):
+        assert level_polynomial(-k - 2 * r) == (-1) ** degree * value
+
+
+@pytest.mark.parametrize("g,volume", [(2, Fraction(1, 6)), (3, Fraction(1, 180)), (4, Fraction(1, 3780))])
+def test_level_polynomial_leading_coefficient_su2(g, volume):
+    """For r = 2 it is Witten's volume (-1)^g B_(2g-2) 2^(g-1) / (2g-2)!."""
+    degree, rows = _level_differences(2, g)
+    assert Fraction(rows[degree][0], math.factorial(degree)) == volume
 
 
 def test_frozen_values():
