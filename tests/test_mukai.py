@@ -284,6 +284,36 @@ def test_lattice_mismatch_rejected():
         mukai_pairing(v, w)
 
 
+# <v,v> = -4, so dv = -1 on either surface: each function below would refuse
+# these vectors for their dimension too, so the lattice check must come first.
+K3_V = _vec(K3E, 1, (0, 0), 2)
+AB_W = _vec(AB, 1, (0,), 2)
+ON_PAIRS = {
+    "mukai_pairing": mukai_pairing,
+    "chi_tensor": chi_tensor,
+    "c1_tensor": c1_tensor,
+    "chi_k3": chi_k3,
+    **{
+        f"chi_abelian[{variant}]": lambda v, w, variant=variant: chi_abelian(v, w, variant)
+        for variant in ("s2", "s3", "s4", "albanese_plus", "albanese_minus", "kummer")
+    },
+    "check_conjecture[v,w]": lambda v, w: check_conjecture(v, w, v.c1),
+}
+
+
+@pytest.mark.parametrize("name", ON_PAIRS)
+@pytest.mark.parametrize("v, w", [(K3_V, AB_W), (AB_W, K3_V)], ids=["k3-abelian", "abelian-k3"])
+def test_lattice_mismatch_table(name, v, w):
+    with pytest.raises(LatticeMismatchError):
+        ON_PAIRS[name](v, w)
+
+
+@pytest.mark.parametrize("v, H", [(_vec(K3E, 1, (0, 1), 0), AB.cls(1)), (_vec(AB, 1, (1,), 0), K3E.cls(0, 1))])
+def test_lattice_mismatch_of_polarization(v, H):
+    with pytest.raises(LatticeMismatchError):
+        check_conjecture(v, v, H)
+
+
 def test_presets_and_config_file():
     assert lattice_preset("k3_elliptic").gram == ((-2, 1), (1, 0))
     assert lattice_preset("abelian_pp").gram == ((2,),)

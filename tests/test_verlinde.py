@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import decimal
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -493,9 +495,18 @@ def _float_grid():
 
 
 def _nstr_exact(m: int, e: int) -> str:
-    """mpmath.nstr(m * 2^e, 15), with no rounding on the way in."""
-    with mpmath.workprec(max(m.bit_length(), 1)):
-        return mpmath.nstr(mpmath.mpf((m, e)), 15)
+    """mpmath.nstr(m * 2^e, 15), with no rounding on the way in.
+
+    mpmath converts the integer part with str(), so a wide mantissa needs
+    the int-to-str digit limit lifted.
+    """
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        with mpmath.workprec(max(m.bit_length(), 1)):
+            return mpmath.nstr(mpmath.mpf((m, e)), 15)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_float_value_matches_mpmath_reference():
@@ -541,6 +552,45 @@ def _random_dyadics(rng: random.Random, count: int):
 def test_dyadic_text_matches_nstr():
     for m, e in _random_dyadics(random.Random(20071), 12_000):
         assert dyadic_text(m, e) == _nstr_exact(m, e), (m, e)
+
+
+def test_dyadic_text_matches_nstr_on_wide_mantissas():
+    """Mantissas of 1,000 to 33,300 bits, as float_oracle returns at high --precision."""
+    rng = random.Random(20072)
+    for i in range(200):
+        bits = rng.randint(1_000, 33_300)
+        m = rng.getrandbits(bits) | 1 << (bits - 1)
+        # Every other case has e < 0 and e + bits > 3500: a value above 2^3500 with a fraction.
+        e = rng.randint(min(3_501 - bits, -1), -1) if i % 2 else rng.randint(-37_300, 12_000)
+        assert dyadic_text(m, e) == _nstr_exact(m, e), (bits, e)
+
+
+def _half_up_text(m: int, e: int) -> str:
+    """m * 2^e >= 10^15 to 15 significant digits, rounded half up, in nstr's e+N notation.
+
+    Exact, through the decimal module: above 2^3500 nstr divides by a power
+    of ten at 69 bits, truncating, so it is no oracle for ties there.
+    """
+    with decimal.localcontext() as context:
+        context.prec = 5_000
+        context.rounding = decimal.ROUND_HALF_UP
+        head, exponent = format(decimal.Decimal(m) * decimal.Decimal(2) ** e, ".14e").split("e")
+    head = head.rstrip("0")
+    return (head + "0" if head.endswith(".") else head) + "e" + exponent
+
+
+def test_dyadic_text_rounds_16th_digit_ties_near_2_to_the_3500():
+    """x = T * 10^s with T of 16 digits ending in 5, and x -/+ 2^e, for log2(x) in 3480..3520."""
+    rng = random.Random(20073)
+    for size in range(3_480, 3_521):
+        tie = rng.randrange(10**14, 10**15) * 10 + 5
+        s = round((size - math.log2(tie)) / math.log2(10))
+        for e in (-60, -1, 0, 7):
+            exact = tie * 10**s << -e if e < 0 else tie * 5**s << s - e
+            for offset in (-1, 0, 1):
+                m = exact + offset
+                expected = _nstr_exact(m, e) if e + m.bit_length() <= 3_500 else _half_up_text(m, e)
+                assert dyadic_text(m, e) == expected, (size, e, offset)
 
 
 def test_term_budget_refusal():
