@@ -67,7 +67,6 @@ _EXPORTS = {
     "power_duality": (
         "SymDualityMatrix",
         "WedgeMatrix",
-        "evaluation_covector",
         "sym_duality_matrix",
         "theta_vanishes",
         "wedge_duality_matrix",

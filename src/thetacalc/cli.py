@@ -19,7 +19,7 @@ from types import SimpleNamespace
 # The other modules of the package are imported by the handlers that run
 # them, and argparse only for help and usage errors, so that a query loads
 # only what its subcommand needs.
-from .errors import DEFAULT_TERM_BUDGET, ArithmeticBugError, DomainError, TermBudgetError
+from .errors import DEFAULT_TERM_BUDGET, DomainError, ThetaCalcError
 from .errors import check_budget
 from .errors import decimal_str as _s
 
@@ -164,11 +164,7 @@ def _cmd_mukai(args) -> dict:
         out["value"] = _s(mk.chi_abelian(v, w, variant))
         if variant == "kummer":
             out["c1_proportional"] = mk.c1_proportional(v, w)
-        out["formula"] = {
-            "albanese_plus": "chi_albanese_det",
-            "albanese_minus": "chi_albanese_fm_det",
-            "kummer": "chi_kummer",
-        }[variant]
+        out["formula"] = mk._ABELIAN_FORMULAS[variant]
     else:  # conjecture
         H = _parse_class(args.H, lattice)
         out["H"] = args.H
@@ -591,15 +587,9 @@ def main(argv=None) -> int:
     try:
         _resolve_settings(args)
         out = args.handler(args)
-    except TermBudgetError as exc:
+    except ThetaCalcError as exc:
         _report(f"error: {exc}")
-        return 3
-    except ArithmeticBugError as exc:
-        _report(f"error: {exc}")
-        return 1
-    except DomainError as exc:
-        _report(f"error: {exc}")
-        return 2
+        return exc.exit_code
     try:
         if sys.stdout is not None:
             _write(out, args.format, sys.stdout)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from ._frozen import Frozen
-from .errors import DomainError, NotRationalError
+from .errors import ArithmeticBugError, DomainError, NotRationalError
 
 # __mul__ imports Rational only for a scalar that is not an int, so that the
 # Verlinde path does not load numbers.
@@ -42,7 +42,7 @@ def _divexact(num: list[int], den: tuple[int, ...]) -> list[int]:
             for j in range(dd + 1):
                 num[i - dd + j] -= c * den[j]
     if any(num):
-        raise AssertionError("polynomial division left a remainder")
+        raise ArithmeticBugError("polynomial division left a remainder")
     return out
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 
 from ._frozen import Frozen
-from .errors import DivisibilityError, DomainError, NuTooWeakError
+from .errors import ArithmeticBugError, DivisibilityError, DomainError, NuTooWeakError
 from .mukai import MukaiVector, NSClass, lattice_preset, mukai_pairing
 
 _ELLIPTIC = lattice_preset("k3_elliptic")
@@ -133,7 +133,7 @@ def theta_bundle_class(r: int, s: int, a: int, b: int) -> ThetaClass:
     L = ns_class(total, 2 * total - 2 - nu)
     chi_L = L.self_intersection // 2 + 2
     if chi_L != a + b:
-        raise AssertionError(f"chi(L) = {chi_L} differs from a+b = {a + b}")
+        raise ArithmeticBugError(f"chi(L) = {chi_L} differs from a+b = {a + b}")
     return ThetaClass(L=L, m_exponent=1, hilb_points=a, chi=chi_L, nu=nu)
 
 

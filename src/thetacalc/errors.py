@@ -1,9 +1,10 @@
 """Exception hierarchy shared by all modules.
 
-Three families matter for callers (and map to CLI exit codes): bad input
-(``DomainError``, exit 2), an enumeration over the budget of ``check_budget``
-(``TermBudgetError``, exit 3), and violations of exactness guarantees that
-can only mean an arithmetic bug (``ArithmeticBugError``, exit 1).
+Three families matter for callers: bad input (``DomainError``), an
+enumeration over the budget of ``check_budget`` (``TermBudgetError``), and
+violations of exactness guarantees that can only mean an arithmetic bug
+(``ArithmeticBugError``).  Each class carries its CLI exit code as
+``exit_code``: 2, 3 and 1 in turn, and 1 for any other ``ThetaCalcError``.
 """
 
 from __future__ import annotations
@@ -34,9 +35,13 @@ def decimal_str(value: int) -> str:
 class ThetaCalcError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 1
+
 
 class DomainError(ThetaCalcError, ValueError):
     """Input outside the mathematical domain of an operation."""
+
+    exit_code = 2
 
 
 class DivisibilityError(DomainError):
@@ -76,6 +81,8 @@ class TermBudgetError(ThetaCalcError):
     C(n, k') <= (e n/k')^k' and n/k' >= 2 leave at most 2.5 times as many
     digits, so the exact count is cheap.
     """
+
+    exit_code = 3
 
     def __init__(self, n: int, k: int, budget: int):
         self.budget = budget

@@ -114,12 +114,6 @@ def wedge_duality_matrix(n: int, k: int) -> WedgeMatrix:
     return WedgeMatrix(n, k, tuple(signs))
 
 
-def evaluation_covector(point, model) -> tuple[int | Fraction, ...]:
-    """Values of the model monomials x^ex * y^ey at a point (x, y)."""
-    x, y = point
-    return tuple(x**ex * y**ey for ex, ey in model)
-
-
 def _integer_rows(rows) -> tuple[list[list[int]], int]:
     """Scale each row by the lcm of its denominators.
 

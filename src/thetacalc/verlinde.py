@@ -56,7 +56,7 @@ from ._frozen import Frozen
 from .cyclotomic import CycloElement, four_sin_squared, real_traces
 from .cyclotomic import two_sin  # noqa: F401  (unused; bench/traced_cli.py reads its cache_info)
 from .errors import DEFAULT_TERM_BUDGET, ArithmeticBugError, DomainError, NotIntegralError
-from .errors import check_budget
+from .errors import check_budget, decimal_str
 
 
 class VerlindeQuery(Frozen):
@@ -389,19 +389,12 @@ def dyadic_text(m: int, e: int) -> str:
     while the leading digit's exponent is in (-5, 15), with trailing zeros
     stripped but ".0" kept, and e+N / e-N otherwise.
     """
-    bits = m.bit_length()
-    if e + bits > 3500:
-        # The leading digits of floor(x); str() refuses ints of over 4300 digits.
-        scale = math.floor((e + bits) * math.log10(2)) - 21
-        digits = str((m << e if e >= 0 else m >> -e) // 10**scale)
-        exponent = len(digits) - 1 + scale
-    else:
-        fixprec = max(_DIGIT_BITS - e - bits, 0)
-        fixdps = int(fixprec / _LOG2_10 + 0.5)
-        shift = e + fixprec
-        fixed = m << shift if shift >= 0 else m >> -shift
-        digits = str(fixed * 10**fixdps >> fixprec)
-        exponent = len(digits) - fixdps - 1
+    fixprec = max(_DIGIT_BITS - e - m.bit_length(), 0)
+    fixdps = int(fixprec / _LOG2_10 + 0.5)
+    shift = e + fixprec
+    fixed = m << shift if shift >= 0 else m >> -shift
+    digits = decimal_str(fixed * 10**fixdps >> fixprec)
+    exponent = len(digits) - fixdps - 1
     head = digits[:15]
     if digits[15] >= "5":
         head = str(int(head) + 1)

@@ -32,6 +32,15 @@ def dyadic(value: tuple[int, int]) -> Fraction:
     return m * Fraction(2) ** e
 
 
+def evaluation_covector(point, model) -> tuple[Fraction, ...]:
+    """Values of the model monomials x^ex * y^ey at a point (x, y) of Fractions.
+
+    The oracle of the theta rows, which scale these values to integers.
+    """
+    x, y = point
+    return tuple(x**ex * y**ey for ex, ey in model)
+
+
 def mpmath_float_oracle(query: VerlindeQuery, precision: int = 30):
     """The float oracle as it was written with mpmath, now the reference of the integer one.
 

@@ -23,7 +23,15 @@ from thetacalc.verlinde import (
     verlinde_number,
 )
 
-from conftest import GRID_GENERA, GRID_SUM_MAX, dyadic, fusion_count, level_one_oracle, subsets_colex
+from conftest import (
+    GRID_GENERA,
+    GRID_SUM_MAX,
+    dyadic,
+    evaluation_covector,
+    fusion_count,
+    level_one_oracle,
+    subsets_colex,
+)
 
 
 def _report(number: int, description: str, failures: list[str]):
@@ -196,7 +204,7 @@ def test_criterion_07_theta_divisor_oracle():
                 points = _random_config(rng, n)
             trials += 1
             z_points, w_points = points[:k], points[k:]
-            rows = [list(pdl.evaluation_covector(p, model)) for p in points]
+            rows = [list(evaluation_covector(p, model)) for p in points]
             det = pdl.det_exact(rows)
             alpha = pdl.wedge_coefficients(rows[:k], n, k)
             beta = pdl.wedge_coefficients(rows[k:], n, n - k)

@@ -16,7 +16,13 @@ from hypothesis import strategies as st
 
 from thetacalc import cli
 from thetacalc.cli import FORMATS, _Blocks, _json_text, _write, main
-from thetacalc.errors import TermBudgetError, check_budget
+from thetacalc.errors import (
+    ArithmeticBugError,
+    DomainError,
+    TermBudgetError,
+    ThetaCalcError,
+    check_budget,
+)
 from thetacalc.verlinde import VerlindeQuery, verlinde_number
 
 from conftest import subsets_colex
@@ -503,6 +509,23 @@ def test_term_budget_exit_code(capsys, monkeypatch):
     code, _, err = _run(capsys, "verlinde", "3", "3", "2")
     assert code == 3
     assert "term budget exceeded: C(6,3) = 20 > 5" in err
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (ThetaCalcError("x"), 1),
+        (ArithmeticBugError("x"), 1),
+        (DomainError("x"), 2),
+        (TermBudgetError(6, 3, 5), 3),
+    ],
+)
+def test_each_error_family_exits_with_its_code(capsys, monkeypatch, error, code):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "_resolve_settings", fail)
+    assert _run(capsys, "verlinde", "3", "3", "2") == (code, "", f"error: {error}\n")
 
 
 @pytest.mark.parametrize(

@@ -10,13 +10,14 @@ import pytest
 
 from thetacalc.cyclotomic import (
     CycloElement,
+    _divexact,
     cyclotomic_polynomial,
     four_sin_squared,
     real_cyclotomic_polynomial,
     to_rational,
     two_sin,
 )
-from thetacalc.errors import DomainError, NotRationalError
+from thetacalc.errors import ArithmeticBugError, DomainError, NotRationalError
 
 
 def test_cyclotomic_polynomials_small():
@@ -25,6 +26,12 @@ def test_cyclotomic_polynomials_small():
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(5) == (1, 1, 1, 1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+
+
+def test_inexact_polynomial_division_is_a_bug():
+    # x^2 + 1 = (x + 1)(x - 1) + 2
+    with pytest.raises(ArithmeticBugError, match="remainder"):
+        _divexact([1, 0, 1], (1, 1))
 
 
 def test_cyclotomic_product_recovers_x_m_minus_one():

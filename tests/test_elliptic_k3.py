@@ -16,7 +16,7 @@ from thetacalc.elliptic_k3 import (
     strange_duality_dims,
     theta_bundle_class,
 )
-from thetacalc.errors import DivisibilityError, DomainError, NuTooWeakError
+from thetacalc.errors import ArithmeticBugError, DivisibilityError, DomainError, NuTooWeakError
 from thetacalc.mukai import lattice_preset, mukai_pairing
 
 
@@ -115,6 +115,17 @@ def test_theta_class_second_case():
     assert compute_nu(2, 2, 9, 9).nu == -2
     assert theta.L.coords == (4, 8)
     assert theta.chi == 18
+
+
+def test_theta_class_identity_failure_exits_1(monkeypatch, capsys):
+    """chi(L) = a+b holds by construction; a class that breaks it is a bug, not a traceback."""
+    ns_class = ek.ns_class
+    monkeypatch.setattr(ek, "ns_class", lambda sigma, fiber: ns_class(sigma, fiber + 1))
+    with pytest.raises(ArithmeticBugError):
+        theta_bundle_class(2, 3, 12, 15)
+    assert main(["elliptic", "theta-class", "2", "3", "12", "15"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: chi(L) = 32 differs from a+b = 27\n"
 
 
 def test_theta_class_requires_rank_two():

@@ -36,7 +36,7 @@ EXPORTED = {
         "lattice_preset mukai_pairing"
     ),
     "power_duality": (
-        "SymDualityMatrix WedgeMatrix evaluation_covector sym_duality_matrix "
+        "SymDualityMatrix WedgeMatrix sym_duality_matrix "
         "theta_vanishes wedge_duality_matrix"
     ),
     "verlinde": (

@@ -22,7 +22,6 @@ from thetacalc.power_duality import (
     _colex_masks,
     bareiss_det,
     det_exact,
-    evaluation_covector,
     monomial_exponents,
     parse_model,
     parse_points,
@@ -34,7 +33,7 @@ from thetacalc.power_duality import (
     wedge_duality_matrix,
 )
 
-from conftest import subsets_colex
+from conftest import evaluation_covector, subsets_colex
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MODEL3 = ((0, 0), (1, 0), (0, 1))
