@@ -298,6 +298,7 @@ ON_PAIRS = {
         for variant in ("s2", "s3", "s4", "albanese_plus", "albanese_minus", "kummer")
     },
     "check_conjecture[v,w]": lambda v, w: check_conjecture(v, w, v.c1),
+    "check_conjecture[H]": lambda v, w: check_conjecture(v, v, w.c1),
 }
 
 
@@ -306,12 +307,6 @@ ON_PAIRS = {
 def test_lattice_mismatch_table(name, v, w):
     with pytest.raises(LatticeMismatchError):
         ON_PAIRS[name](v, w)
-
-
-@pytest.mark.parametrize("v, H", [(_vec(K3E, 1, (0, 1), 0), AB.cls(1)), (_vec(AB, 1, (1,), 0), K3E.cls(0, 1))])
-def test_lattice_mismatch_of_polarization(v, H):
-    with pytest.raises(LatticeMismatchError):
-        check_conjecture(v, v, H)
 
 
 def test_presets_and_config_file():
