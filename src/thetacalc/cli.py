@@ -8,8 +8,6 @@ stay plain numbers.  Exit codes: 0 success, 1 internal exactness failure,
 usage error.
 """
 
-from __future__ import annotations
-
 import os
 import sys
 from itertools import chain, islice
@@ -213,7 +211,7 @@ def _cmd_duality(args) -> dict:
         return out
     if op == "sym":
         check_budget(args.wdim + args.n - 1, args.n, args.term_budget)
-        matrix = pdl.sym_duality_matrix(args.wdim, args.n)
+        matrix = pdl.sym_duality_matrix(args.wdim, args.n, term_budget=args.term_budget)
         monomials, diagonal = matrix.monomials, matrix.diagonal
         exponents = "[" + ",".join(["%d"] * args.wdim) + "]"
         return {

@@ -16,8 +16,6 @@ so that D_j(2*cos(t)) = 2*cos(j*t)), the sines of the Verlinde sum are
 both totally real and positive for 1 <= d <= n-1.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 
 from ._frozen import Frozen
@@ -96,17 +94,17 @@ def real_cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_terms(modulus: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """(j, c) for each non-zero coefficient c of x^j below the leading term."""
-    return tuple((j, c) for j, c in enumerate(modulus[:-1]) if c)
+def _reduction_terms(order: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The degree of psi_order, and (j, c) for each non-zero c x^j below its leading term."""
+    modulus = real_cyclotomic_polynomial(order)
+    return len(modulus) - 1, tuple((j, c) for j, c in enumerate(modulus[:-1]) if c)
 
 
-def _reduced(modulus: tuple[int, ...], vec: list[Rational]) -> tuple[Rational, ...]:
-    """Reduce a coefficient vector modulo a monic integer polynomial."""
-    deg = len(modulus) - 1
+def _reduced(order: int, vec: "list[Rational]") -> "tuple[Rational, ...]":
+    """Reduce a coefficient vector modulo psi_order, the only reduction routine."""
+    deg, terms = _reduction_terms(order)
     if len(vec) <= deg:
         return tuple(vec) + (0,) * (deg - len(vec))
-    terms = _reduction_terms(modulus)
     for i in range(len(vec) - 1, deg - 1, -1):
         c = vec[i]
         if c:
@@ -125,7 +123,7 @@ class CycloElement(Frozen):
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, order: int, coeffs: tuple[Rational, ...]):
+    def __init__(self, order: int, coeffs: "tuple[Rational, ...]"):
         deg = len(real_cyclotomic_polynomial(order)) - 1
         if len(coeffs) != deg:
             raise DomainError(
@@ -138,17 +136,11 @@ class CycloElement(Frozen):
     @classmethod
     def from_polynomial(cls, order: int, coeffs) -> "CycloElement":
         """Build an element from an arbitrary-length coefficient vector, reducing it."""
-        return cls(order, _reduced(real_cyclotomic_polynomial(order), list(coeffs)))
+        return cls(order, _reduced(order, list(coeffs)))
 
     @classmethod
     def one(cls, order: int) -> "CycloElement":
         return cls(order, (1,) + (0,) * (len(real_cyclotomic_polynomial(order)) - 2))
-
-    def _check_order(self, other: "CycloElement") -> None:
-        if self.order != other.order:
-            raise DomainError(
-                f"order mismatch: {self.order} vs {other.order}"
-            )
 
     def __mul__(self, other):
         if not isinstance(other, CycloElement):
@@ -158,18 +150,19 @@ class CycloElement(Frozen):
                 if not isinstance(other, Rational):
                     return NotImplemented
             return CycloElement(self.order, tuple(a * other for a in self.coeffs))
-        self._check_order(other)
+        order = self.order
+        if order != other.order:
+            raise DomainError(f"order mismatch: {order} vs {other.order}")
         a, b = self.coeffs, other.coeffs
-        conv: list[Rational] = [0] * (len(a) + len(b) - 1)
+        conv = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
+                for j, bj in enumerate(b, i):
+                    conv[j] += ai * bj
         # The reduced product has the right length: skip the constructor's check.
         product = object.__new__(CycloElement)
-        _set_order(product, self.order)
-        _set_coeffs(product, _reduced(real_cyclotomic_polynomial(self.order), conv))
+        _set_order(product, order)
+        _set_coeffs(product, _reduced(order, conv))
         return product
 
     __rmul__ = __mul__
@@ -220,15 +213,32 @@ def four_sin_squared(n: int, d: int) -> CycloElement:
 
 @lru_cache(maxsize=None)
 def real_traces(n: int) -> tuple[int, ...]:
-    """Tr(theta^j), j < deg, as traces of multiplication; Tr(x) is their dot product with x."""
-    modulus = real_cyclotomic_polynomial(n)
-    deg = len(modulus) - 1
-    return tuple(
-        sum(_reduced(modulus, [0] * (i + j) + [1])[i] for i in range(deg)) for j in range(deg)
-    )
+    """Tr(theta^s) for s <= 2*deg - 2, as traces of multiplication by theta^s.
+
+    The s-th is the sum over i < deg of coefficient i of theta^(s+i).  Tr(x)
+    is the dot product of x with the first deg of them, and Tr(x*y) is a
+    quadratic form in x and y over all of them (`trace_of_product`).
+    """
+    deg = _reduction_terms(n)[0]
+    powers = [_reduced(n, [0] * t + [1]) for t in range(3 * deg - 2)]
+    return tuple(sum(powers[s + i][i] for i in range(deg)) for s in range(2 * deg - 1))
 
 
-def to_rational(x: CycloElement) -> Rational:
+def trace_of_product(x: CycloElement, y: CycloElement) -> "Rational":
+    """Tr(x*y) without the product: the sum of x_i * y_j * Tr(theta^(i+j)) over i, j < deg.
+
+    Every Tr(theta^s) is a small integer, so this takes deg^2 products of a
+    coordinate by a trace and deg of two coordinates, where the product
+    takes deg^2 of two coordinates and a reduction.
+    """
+    if x.order != y.order:
+        raise DomainError(f"order mismatch: {x.order} vs {y.order}")
+    traces = real_traces(x.order)
+    ys = y.coeffs
+    return sum(xi * sum(c * t for c, t in zip(ys, traces[i:])) for i, xi in enumerate(x.coeffs))
+
+
+def to_rational(x: CycloElement) -> "Rational":
     """Constant coefficient of an element all of whose other coefficients vanish.
 
     The coefficient is returned as it is stored: an int stays an int.

@@ -21,8 +21,6 @@ When nu < -1 the bundle L has no higher cohomology and the two spaces of
 theta sections have dimensions C(chi(L), a) = C(chi(L), b).
 """
 
-from __future__ import annotations
-
 import math
 
 from ._frozen import Frozen

@@ -7,8 +7,6 @@ violations of exactness guarantees that can only mean an arithmetic bug
 ``exit_code``: 2, 3 and 1 in turn, and 1 for any other ``ThetaCalcError``.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 
@@ -73,7 +71,7 @@ COUNT_DIGITS = 10_000
 
 
 class TermBudgetError(ThetaCalcError):
-    """C(n, k) terms over the budget.
+    """C(n, k) terms, each of `weight` items, over the budget.
 
     With k' = min(k, n-k), C(n, k') >= (n/k')^k', so k' log10(n/k') bounds
     the digit count from below before anything big is computed (math.log10
@@ -84,34 +82,37 @@ class TermBudgetError(ThetaCalcError):
 
     exit_code = 3
 
-    def __init__(self, n: int, k: int, budget: int):
+    def __init__(self, n: int, k: int, budget: int, weight: int = 1):
         self.budget = budget
         terms = f"C({decimal_str(n)},{decimal_str(k)})"
+        if weight != 1:
+            terms = f"{decimal_str(weight)} x {terms}"
         small = min(k, n - k)
         if not small or small * (math.log10(n) - math.log10(small)) <= COUNT_DIGITS:
             count = math.comb(n, small)
             if count < 10**COUNT_DIGITS:
-                terms += f" = {decimal_str(count)}"
+                terms += f" = {decimal_str(weight * count)}"
         super().__init__(f"term budget exceeded: {terms} > {decimal_str(budget)}")
 
 
-def check_budget(n: int, k: int, term_budget: int) -> None:
-    """Refuse C(n, k) terms above the budget; an out-of-range (n, k) is left to the domain check.
+def check_budget(n: int, k: int, term_budget: int, weight: int = 1) -> None:
+    """Refuse C(n, k) terms of `weight` items each above the budget.
 
-    The running product t_i = C(n-k'+i, i) = t_(i-1) (n-k'+i) / i, for
-    k' = min(k, n-k), is exact at every step and grows to C(n, k), so it
-    stops once it passes the budget: after at most log2(budget) + 1 products,
-    since t_i >= C(2i, i) >= 2^i.
+    An out-of-range (n, k) is left to the domain check.  The running product
+    t_i = C(n-k'+i, i) = t_(i-1) (n-k'+i) / i, for k' = min(k, n-k), is exact
+    at every step (also times weight >= 1) and grows to C(n, k), so it stops
+    once it passes the budget: after at most log2(budget) + 1 products, since
+    t_i >= C(2i, i) >= 2^i.
     """
     if 0 <= k <= n:
         small = min(k, n - k)
-        terms = 1
+        terms = weight
         for i in range(1, small + 1):
             if terms > term_budget:
                 break
             terms = terms * (n - small + i) // i
         if terms > term_budget:
-            raise TermBudgetError(n, k, term_budget)
+            raise TermBudgetError(n, k, term_budget, weight)
 
 
 class ArithmeticBugError(ThetaCalcError):

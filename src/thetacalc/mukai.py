@@ -16,8 +16,6 @@ Conventions fixed here once:
   this choice preserves the Mukai form (a verified property, see tests).
 """
 
-from __future__ import annotations
-
 import math
 
 from ._frozen import Frozen

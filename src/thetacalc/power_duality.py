@@ -23,14 +23,14 @@ order.  A wedge matrix is stored as its signs alone, row i paired with
 column C(n,k)-1-i; the Sym^n pairing is diagonal in monomial bases.
 """
 
-from __future__ import annotations
-
 import math
 import re
-from itertools import accumulate
+from itertools import accumulate, combinations_with_replacement
+from operator import sub
 
 from ._frozen import Frozen
-from .errors import ArithmeticBugError, DegenerateConfigError, DomainError, decimal_str
+from .errors import DEFAULT_TERM_BUDGET, ArithmeticBugError, DegenerateConfigError, DomainError
+from .errors import check_budget, decimal_str
 
 # Only the Fraction adapters over the integer cores (det_exact,
 # wedge_coefficients and the _integer_rows they share) import Fraction, so
@@ -170,14 +170,14 @@ def bareiss_det(rows) -> int:
     return sign * prev
 
 
-def det_exact(rows) -> Fraction:
+def det_exact(rows) -> "Fraction":
     """Determinant over the rationals: ``bareiss_det`` of the rows scaled to integers."""
     from fractions import Fraction
     m, scale = _integer_rows(rows)
     return Fraction(bareiss_det(m), scale)
 
 
-def wedge_coefficients(vectors, n: int, k: int) -> tuple[Fraction, ...]:
+def wedge_coefficients(vectors, n: int, k: int) -> "tuple[Fraction, ...]":
     """Coefficients over colex k-subsets of the wedge of k covectors in Q^n.
 
     The coefficient of e_S is the k x k minor of the covectors on the
@@ -329,19 +329,22 @@ def theta_vanishes(z_points, w_points, model) -> bool:
 
 
 def monomial_exponents(w_dim: int, degree: int) -> tuple[tuple[int, ...], ...]:
-    """Exponent tuples of total degree `degree` in w_dim variables, lex-descending."""
+    """Exponent tuples of total degree `degree` in w_dim variables, lex-descending.
+
+    Stars and bars without recursion: the partial sums u_1 <= ... <= u_(w_dim-1)
+    of an exponent tuple are a combination with replacement of 0..degree, and
+    the tuple is their differences, with u_0 = 0 and u_w_dim = degree.
+    Partial sums keep the lex order of the tuples, and the combinations come
+    in ascending lex order, so the list is reversed at the end.
+    """
     if w_dim < 1 or degree < 0:
         raise DomainError("need w_dim >= 1 and degree >= 0")
-
-    def gen(vars_left: int, total: int):
-        if vars_left == 1:
-            yield (total,)
-            return
-        for first in range(total, -1, -1):
-            for rest in gen(vars_left - 1, total - first):
-                yield (first,) + rest
-
-    return tuple(gen(w_dim, degree))
+    monomials = [
+        tuple(map(sub, (*sums, degree), (0, *sums)))
+        for sums in combinations_with_replacement(range(degree + 1), w_dim - 1)
+    ]
+    monomials.reverse()
+    return tuple(monomials)
 
 
 class SymDualityMatrix(Frozen):
@@ -362,9 +365,17 @@ class SymDualityMatrix(Frozen):
         return all(d != 0 for d in self.diagonal)
 
 
-def sym_duality_matrix(w_dim: int, n: int) -> SymDualityMatrix:
+def sym_duality_matrix(
+    w_dim: int, n: int, *, term_budget: int = DEFAULT_TERM_BUDGET
+) -> SymDualityMatrix:
+    """The diagonal pairing of Sym^n(W) and Sym^n(W*), dim W = w_dim.
+
+    Raises TermBudgetError before building anything when the C(w_dim+n-1, n)
+    monomials, w_dim exponents each, exceed the budget.
+    """
     if w_dim < 1 or n < 1:
         raise DomainError("need w_dim >= 1 and n >= 1")
+    check_budget(w_dim + n - 1, n, term_budget, weight=w_dim)
     monomials = monomial_exponents(w_dim, n)
     # n!/alpha! is the product of C(s_i, alpha_i) over the partial sums s_i of
     # alpha.  A table of 0!..n! is faster where w_dim >= 3, but at w_dim = 2,

@@ -37,7 +37,10 @@ Five identities of the sum cut the work without changing its value:
   themselves and d to min(jd, n-jd) mod n, as the automorphism of Q(theta)
   4*sin^2(pi*d/n) -> 4*sin^2(pi*j*d/n) does.  Groups in one orbit of the
   units modulo +-1 have conjugate terms, one trace and one multiplicity
-  (checked), so Tr(Sigma) takes one power per orbit.
+  (checked), so Tr(Sigma) takes one trace Tr(b^(g-1)) per orbit.  With
+  m = g-1 and c = b^(m//2), that trace is Tr(c*y) for y = c (m even) or
+  c*b (m odd), a quadratic form in c and y over Tr(theta^s), s <= 2D-2,
+  so the last and widest product is never built.
 
 The modified number vt_{r,k} = (n^g / r^g) * v_{r,k} = Sigma counts
 sections of a determinant-twisted theta bundle and is an integer as well.
@@ -46,14 +49,12 @@ rank-level symmetry vt_{r,k} = vt_{k,r}; one evaluation of Sigma gives
 all three numbers.
 """
 
-from __future__ import annotations
-
 import math
 from collections import Counter
 from itertools import combinations
 
 from ._frozen import Frozen
-from .cyclotomic import CycloElement, four_sin_squared, real_traces
+from .cyclotomic import four_sin_squared, real_cyclotomic_polynomial, real_traces, trace_of_product
 from .cyclotomic import two_sin  # noqa: F401  (unused; bench/traced_cli.py reads its cache_info)
 from .errors import DEFAULT_TERM_BUDGET, ArithmeticBugError, DomainError, NotIntegralError
 from .errors import check_budget, decimal_str
@@ -201,11 +202,13 @@ def verlinde_number(query: VerlindeQuery, *, term_budget: int = DEFAULT_TERM_BUD
     n = r + k
     check_budget(n, k, term_budget)
     power = g - 1
+    degree = len(real_cyclotomic_polynomial(n)) - 1
     traces = real_traces(n)
-    factors: dict[tuple[int, int], CycloElement | int] = {}
+    squares = {}  # d -> 4*sin^2(pi*d/n), built once per query
+    factors = {}  # (d, e) -> the factor of distance d with exponent e
     total = 0
     for exponents, weight in _galois_orbits(n, _distance_exponent_groups(n, k)):
-        base = 1
+        base = None
         for d, e in enumerate(exponents, start=1):
             if e:
                 factor = factors.get((d, e))
@@ -213,13 +216,23 @@ def verlinde_number(query: VerlindeQuery, *, term_budget: int = DEFAULT_TERM_BUD
                     if 2 * d == n:
                         factor = 2**e
                     else:
-                        factor = four_sin_squared(n, d) ** (e // 2)
+                        square = squares.get(d)
+                        if square is None:
+                            square = squares[d] = four_sin_squared(n, d)
+                        factor = square ** (e // 2)
                     factors[(d, e)] = factor
-                base = factor * base
-        term = base**power
-        coeffs = (term,) if isinstance(term, int) else term.coeffs
-        total += weight * sum(c * t for c, t in zip(coeffs, traces))
-    return _integral(total * n * r**g, len(traces) * min(k, r) * n**g)
+                base = factor if base is None else factor * base
+        if isinstance(base, int):
+            trace = degree * base**power
+        elif power == 1:
+            trace = sum(c * t for c, t in zip(base.coeffs, traces))
+        else:
+            # Tr(b^m) = Tr(c * y) with c = b^(m//2) and y = c or c*b: the form
+            # over the traces replaces the last, widest product.
+            half = base if power < 4 else base ** (power // 2)
+            trace = trace_of_product(half, half if power % 2 == 0 else half * base)
+        total += weight * trace
+    return _integral(total * n * r**g, degree * min(k, r) * n**g)
 
 
 def modified_verlinde(query: VerlindeQuery, *, term_budget: int = DEFAULT_TERM_BUDGET) -> int:
@@ -382,12 +395,15 @@ def float_oracle(query: VerlindeQuery, precision: int = 30) -> tuple[int, int]:
 
 
 def dyadic_text(m: int, e: int) -> str:
-    """m * 2^e, m > 0, to 15 significant digits, as the float oracle has always printed it.
+    """m * 2^e, m > 0, to 15 significant digits, in the float oracle's notation.
 
-    Floors the value to a fixed point of 69 significant bits, then to
-    decimal, and rounds half up at the 16th digit.  Prints fixed notation
-    while the leading digit's exponent is in (-5, 15), with trailing zeros
-    stripped but ".0" kept, and e+N / e-N otherwise.
+    Floors the value to a fixed point of 69 significant bits, converts that
+    floor to decimal exactly, and rounds it half up at the 16th digit.
+    Prints fixed notation while the leading digit's exponent is in (-5, 15),
+    with trailing zeros stripped but ".0" kept, and e+N / e-N otherwise.
+    Up to 2^3500 this is what ``mpmath.nstr`` prints.  Above it ``nstr``
+    first divides by a power of ten truncated to 69 bits, so on an exact
+    tie at the 16th digit it can print the last digit one unit lower.
     """
     fixprec = max(_DIGIT_BITS - e - m.bit_length(), 0)
     fixdps = int(fixprec / _LOG2_10 + 0.5)

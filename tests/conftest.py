@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -158,6 +159,29 @@ def fusion_count(r: int, k: int, g: int) -> int:
     for _ in range(g - 1):
         power = [[sum(power[i][m] * omega[m][j] for m in size) for j in size] for i in size]
     return sum(power[i][i] for i in size)
+
+
+# (r, g) whose v_{r,k}, as a polynomial in the level k, the level-polynomial laws check.
+LEVEL_LAW_CASES = ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2))
+
+
+def level_differences(r: int, g: int) -> tuple[int, list[list[int]]]:
+    """D = (r^2-1)(g-1) and the forward differences of v_{r,k} over k = 1..D+3, row j the j-th."""
+    degree = (r * r - 1) * (g - 1)
+    rows = [[verlinde_number(VerlindeQuery(r, k, g)) for k in range(1, degree + 4)]]
+    while len(rows[-1]) > 1:
+        rows.append([b - a for a, b in zip(rows[-1], rows[-1][1:])])
+    return degree, rows
+
+
+def _binomial(y: int, j: int) -> int:
+    """C(y, j) for any integer y: j consecutive integers over j!, which divides them."""
+    return math.prod(range(y - j + 1, y + 1)) // math.factorial(j)
+
+
+def level_polynomial(rows: list[list[int]], degree: int, x: int) -> int:
+    """P(x) from the differences at k = 1 of `level_differences`, by Newton's forward form."""
+    return sum(row[0] * _binomial(x - 1, j) for j, row in enumerate(rows[: degree + 1]))
 
 
 @pytest.fixture(scope="session")

@@ -26,10 +26,13 @@ from thetacalc.verlinde import (
 from conftest import (
     GRID_GENERA,
     GRID_SUM_MAX,
+    LEVEL_LAW_CASES,
     dyadic,
     evaluation_covector,
     fusion_count,
+    level_differences,
     level_one_oracle,
+    level_polynomial,
     subsets_colex,
 )
 
@@ -86,13 +89,26 @@ def test_criterion_03_rank_level_symmetry():
             for g in range(2, 5):
                 if fusion_count(r, n - r, g) * (n - r) ** g != fusion_count(n - r, r, g) * r**g:
                     failures.append(f"fusion symmetry fails at ({r},{n - r},{g})")
+    # v_{r,k} as the polynomial P(k) of degree D = (r^2-1)(g-1) in the level:
+    # these laws tie sums at different n, so they do not share the per-n formula.
+    for r, g in LEVEL_LAW_CASES:
+        degree, rows = level_differences(r, g)
+        if rows[degree + 1] != [0, 0] or rows[degree][0] == 0:
+            failures.append(f"v({r},k,{g}) is not of degree {degree} in k")
+        if level_polynomial(rows, degree, 0) != 1:
+            failures.append(f"P(0) != 1 for (r, g) = ({r},{g})")
+        if any(level_polynomial(rows, degree, -j) for j in range(1, 2 * r)):
+            failures.append(f"P(-1..-{2 * r - 1}) != 0 for (r, g) = ({r},{g})")
+        for k, value in enumerate(rows[0], start=1):
+            if level_polynomial(rows, degree, -k - 2 * r) != (-1) ** degree * value:
+                failures.append(f"P(-{k}-{2 * r}) != (-1)^{degree} v({r},{k},{g})")
     elapsed = time.perf_counter() - start
     if elapsed >= 120:
         failures.append(f"took {elapsed:.1f}s >= 120s")
     _report(
         3,
-        f"v(r,k)*k^g = v(k,r)*r^g on r+k<=10, g<=5, and for fusion counts on r+k<=8, g<=4 "
-        f"({elapsed:.2f}s)",
+        f"v(r,k)*k^g = v(k,r)*r^g on r+k<=10, g<=5, and for fusion counts on r+k<=8, g<=4; "
+        f"level-polynomial laws for {len(LEVEL_LAW_CASES)} (r, g) ({elapsed:.2f}s)",
         failures,
     )
 

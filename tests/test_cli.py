@@ -419,6 +419,11 @@ def test_duality_term_budget_refusals(capsys, tmp_path):
     assert "term budget exceeded: C(35,30) = 324632 > 200000" in err
     code, _, err = _run(capsys, "--term-budget", "5", "duality", "sym", "2", "5")
     assert code == 3 and "C(6,5) = 6 > 5" in err
+    # Under the budget as monomials, over it as exponents: w_dim of them per monomial.
+    code, out, err = _run(capsys, "duality", "sym", "1500", "1")
+    assert (code, out, err) == (3, "", "error: term budget exceeded: 1500 x C(1500,1) = 2250000 > 200000\n")
+    code, out, _ = _run(capsys, "--term-budget", "2250000", "duality", "sym", "1500", "1")
+    assert code == 0 and json.loads(out)["size"] == "1500"
     points = tmp_path / "points.json"
     points.write_text(
         json.dumps({"model": [[0, 0], [1, 0], [0, 1], [1, 1]], "Z": [[0, 0], [1, 2]], "W": [[3, 1], [2, 5]]})

@@ -130,12 +130,21 @@ def _refusals():
     yield ["--term-budget", "2", "duality", "theta-vanishes", "--points", POINTS_TRUE]
 
 
+def _appended():
+    # Records added after the corpus was written go at its end, so that the
+    # earlier records keep their lines.  1,500 monomials of 1,500 exponents
+    # each: over the budget as exponents, under it as monomials.
+    yield ["duality", "sym", "1500", "1"]
+
+
 def corpus_argvs() -> list[list[str]]:
     argvs = list(_verlinde_grid())
     for fmt in FORMATS:
         argvs += [[*fmt, *argv] for argv in _each_op()]
         argvs += [[*fmt, *argv] for argv in _float_rendering()]
         argvs += [[*fmt, *argv] for argv in _refusals()]
+    for fmt in FORMATS:
+        argvs += [[*fmt, *argv] for argv in _appended()]
     return argvs
 
 

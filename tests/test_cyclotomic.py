@@ -14,7 +14,9 @@ from thetacalc.cyclotomic import (
     cyclotomic_polynomial,
     four_sin_squared,
     real_cyclotomic_polynomial,
+    real_traces,
     to_rational,
+    trace_of_product,
     two_sin,
 )
 from thetacalc.errors import ArithmeticBugError, DomainError, NotRationalError
@@ -155,6 +157,23 @@ def test_order_mismatch_rejected():
         CycloElement(5, (0, 1)) * CycloElement(7, (0, 1, 0))
     with pytest.raises(DomainError, match="order mismatch: 16 vs 12"):
         two_sin(4, 1) * two_sin(3, 1)
+
+
+def test_trace_of_product_is_the_trace_of_the_reduced_product():
+    """The form over Tr(theta^s), s <= 2*deg - 2, equals Tr of the product reduced mod psi_n."""
+    rng = random.Random(23)
+    for n in range(3, 41):
+        deg = len(real_cyclotomic_polynomial(n)) - 1
+        traces = real_traces(n)
+        for _ in range(4):
+            x, y = (
+                CycloElement(n, tuple(rng.randint(-(1 << 200), 1 << 200) for _ in range(deg)))
+                for _ in range(2)
+            )
+            product = (x * y).coeffs
+            assert trace_of_product(x, y) == sum(c * t for c, t in zip(product, traces[:deg]))
+    with pytest.raises(DomainError, match="order mismatch: 5 vs 7"):
+        trace_of_product(CycloElement(5, (0, 1)), CycloElement(7, (0, 1, 0)))
 
 
 def test_scalar_arithmetic():

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from thetacalc import power_duality
 from thetacalc.cli import main
-from thetacalc.errors import ArithmeticBugError, DegenerateConfigError, DomainError
+from thetacalc.errors import ArithmeticBugError, DegenerateConfigError, DomainError, TermBudgetError
 from thetacalc.power_duality import (
     _colex_masks,
     bareiss_det,
@@ -218,6 +218,42 @@ def test_monomial_exponents_order():
     assert monomial_exponents(2, 2) == ((2, 0), (1, 1), (0, 2))
     assert monomial_exponents(3, 1) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert monomial_exponents(1, 5) == ((5,),)
+
+
+def _recursive_monomials(w_dim: int, degree: int):
+    """The first exponent descending, then the rest recursively: the oracle of the order."""
+    if w_dim == 1:
+        yield (degree,)
+        return
+    for first in range(degree, -1, -1):
+        for rest in _recursive_monomials(w_dim - 1, degree - first):
+            yield (first,) + rest
+
+
+def test_monomial_exponents_match_the_recursive_generator():
+    for w_dim in range(1, 5):
+        for degree in range(0, 7):
+            assert monomial_exponents(w_dim, degree) == tuple(_recursive_monomials(w_dim, degree))
+
+
+def test_monomial_exponents_do_not_recurse_per_variable():
+    # A generator that recursed once per variable would go 1,500 calls deep.
+    monomials = monomial_exponents(1500, 1)
+    assert len(monomials) == 1500
+    assert monomials[0] == (1,) + (0,) * 1499 and monomials[-1] == (0,) * 1499 + (1,)
+    assert monomial_exponents(2, 5) == ((5, 0), (4, 1), (3, 2), (2, 3), (1, 4), (0, 5))
+
+
+def test_sym_duality_matrix_counts_every_exponent_against_the_budget():
+    # C(1500, 1) = 1,500 monomials of 1,500 exponents each: refused before building.
+    with pytest.raises(TermBudgetError, match=r"^term budget exceeded: 1500 x C\(1500,1\) = 2250000 > 200000$"):
+        sym_duality_matrix(1500, 1)
+    assert sym_duality_matrix(1500, 1, term_budget=2_250_000).size == 1500
+    with pytest.raises(TermBudgetError, match=r"= 2250000 > 2249999$"):
+        sym_duality_matrix(1500, 1, term_budget=2_249_999)
+    assert sym_duality_matrix(3, 2, term_budget=18).size == 6
+    with pytest.raises(TermBudgetError, match=r"^term budget exceeded: 3 x C\(4,2\) = 18 > 17$"):
+        sym_duality_matrix(3, 2, term_budget=17)
 
 
 def test_sym_diagonal_against_permutation_count():

@@ -34,7 +34,15 @@ from thetacalc.verlinde import (
     verlinde_number,
 )
 
-from conftest import dyadic, fusion_count, level_one_oracle, mpmath_float_oracle
+from conftest import (
+    LEVEL_LAW_CASES,
+    dyadic,
+    fusion_count,
+    level_differences,
+    level_one_oracle,
+    level_polynomial,
+    mpmath_float_oracle,
+)
 
 
 def _naive_float(r: int, k: int, g: int) -> float:
@@ -139,7 +147,7 @@ def _element_sums(n: int, groups, genera):
                 base = base * (2**e if 2 * d == n else four_sin_squared(n, d) ** (e // 2))
         bases.append((multiplicity, base))
     for g in genera:
-        total = [0] * len(real_traces(n))
+        total = [0] * len(CycloElement.one(n).coeffs)
         for multiplicity, base in bases:
             total = [t + multiplicity * c for t, c in zip(total, (base ** (g - 1)).coeffs)]
         yield g, to_rational(CycloElement(n, tuple(total)))
@@ -207,7 +215,8 @@ def test_real_traces_are_sums_over_conjugates():
     for n in range(2, 41):
         units = [a for a in range(1, n // 2 + 1) if math.gcd(a, n) == 1]
         traces = real_traces(n)
-        assert traces[0] == len(traces) == len(units)
+        assert traces[0] == len(units)
+        assert len(traces) == 2 * len(units) - 1
         for j, trace in enumerate(traces):
             assert trace == round(sum((2 * math.cos(2 * math.pi * a / n)) ** j for a in units))
 
@@ -313,21 +322,7 @@ def test_fusion_ring_oracle():
                 assert verlinde_number(VerlindeQuery(r, n - r, g)) == fusion_count(r, n - r, g)
 
 
-def _level_differences(r: int, g: int) -> tuple[int, list[list[int]]]:
-    """D = (r^2-1)(g-1) and the forward differences of v_{r,k} over k = 1..D+3, row j the j-th."""
-    degree = (r * r - 1) * (g - 1)
-    rows = [[verlinde_number(VerlindeQuery(r, k, g)) for k in range(1, degree + 4)]]
-    while len(rows[-1]) > 1:
-        rows.append([b - a for a, b in zip(rows[-1], rows[-1][1:])])
-    return degree, rows
-
-
-def _binomial(y: int, j: int) -> int:
-    """C(y, j) for any integer y: j consecutive integers over j!, which divides them."""
-    return math.prod(range(y - j + 1, y + 1)) // math.factorial(j)
-
-
-@pytest.mark.parametrize("r,g", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2)])
+@pytest.mark.parametrize("r,g", LEVEL_LAW_CASES)
 def test_level_polynomial_laws(r, g):
     """v_{r,k} is a polynomial P(k) of degree D = (r^2-1)(g-1): the Hilbert polynomial.
 
@@ -336,24 +331,19 @@ def test_level_polynomial_laws(r, g):
     different n, fields Q(theta_n) and distance groups, and share nothing of
     the per-n sum.
     """
-    degree, rows = _level_differences(r, g)
+    degree, rows = level_differences(r, g)
     assert rows[degree + 1] == [0, 0]
     assert rows[degree][0] != 0
-
-    def level_polynomial(x: int) -> int:
-        # Newton's forward form from k = 1.
-        return sum(row[0] * _binomial(x - 1, j) for j, row in enumerate(rows[: degree + 1]))
-
-    assert level_polynomial(0) == 1
-    assert [level_polynomial(-j) for j in range(1, 2 * r)] == [0] * (2 * r - 1)
+    assert level_polynomial(rows, degree, 0) == 1
+    assert [level_polynomial(rows, degree, -j) for j in range(1, 2 * r)] == [0] * (2 * r - 1)
     for k, value in enumerate(rows[0], start=1):
-        assert level_polynomial(-k - 2 * r) == (-1) ** degree * value
+        assert level_polynomial(rows, degree, -k - 2 * r) == (-1) ** degree * value
 
 
 @pytest.mark.parametrize("g,volume", [(2, Fraction(1, 6)), (3, Fraction(1, 180)), (4, Fraction(1, 3780))])
 def test_level_polynomial_leading_coefficient_su2(g, volume):
     """For r = 2 it is Witten's volume (-1)^g B_(2g-2) 2^(g-1) / (2g-2)!."""
-    degree, rows = _level_differences(2, g)
+    degree, rows = level_differences(2, g)
     assert Fraction(rows[degree][0], math.factorial(degree)) == volume
 
 
