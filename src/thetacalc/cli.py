@@ -18,7 +18,6 @@ from types import SimpleNamespace
 # them, and argparse only for help and usage errors, so that a query loads
 # only what its subcommand needs.
 from .errors import DEFAULT_TERM_BUDGET, DomainError, ThetaCalcError
-from .errors import check_budget
 from .errors import decimal_str as _s
 
 ENV_TERM_BUDGET = "THETACALC_TERM_BUDGET"
@@ -184,8 +183,7 @@ def _cmd_duality(args) -> dict:
 
     op = args.duality_op
     if op == "wedge":
-        check_budget(args.n, args.k, args.term_budget)
-        matrix = pdl.wedge_duality_matrix(args.n, args.k)
+        matrix = pdl.wedge_duality_matrix(args.n, args.k, term_budget=args.term_budget)
         size, signs = matrix.size, matrix.signs
         # Row i pairs with column size-1-i (see WedgeMatrix).
         entries = _Blocks(
@@ -210,7 +208,6 @@ def _cmd_duality(args) -> dict:
         out["formula"] = "wedge_complement_pairing"
         return out
     if op == "sym":
-        check_budget(args.wdim + args.n - 1, args.n, args.term_budget)
         matrix = pdl.sym_duality_matrix(args.wdim, args.n, term_budget=args.term_budget)
         monomials, diagonal = matrix.monomials, matrix.diagonal
         exponents = "[" + ",".join(["%d"] * args.wdim) + "]"
@@ -230,8 +227,7 @@ def _cmd_duality(args) -> dict:
         z_points, w_points = pdl.parse_points(data)
     except (KeyError, ValueError, TypeError) as exc:
         raise DomainError(f"malformed points file: {exc}")
-    rows, scale = pdl.theta_integer_rows(z_points, w_points, model)
-    check_budget(len(model), len(z_points), args.term_budget)
+    rows, scale = pdl.theta_integer_rows(z_points, w_points, model, term_budget=args.term_budget)
     # By Laplace expansion along the rows of Z the wedge pairing is the determinant.
     value = pdl.ratio_text(*pdl.reduced(pdl.bareiss_det(rows), scale))
     return {

@@ -104,7 +104,7 @@ def compute_nu(r: int, s: int, a: int, b: int) -> NuResult:
     _validate_pair(r, s, a, b)
     total = r + s
     if (a + b - 2) % total != 0:
-        raise DivisibilityError(total, a + b - 2)
+        raise DivisibilityError(f"divisibility: {total} does not divide {a + b - 2}")
     nu = (total - 2) - (a + b - 2) // total
     return NuResult(nu=nu, divisible=True, nu_strong=-nu > 1)
 
@@ -151,7 +151,9 @@ def strange_duality_dims(r: int, s: int, a: int, b: int) -> DualityDims:
     """
     theta = theta_bundle_class(r, s, a, b)
     if theta.nu >= -1:
-        raise NuTooWeakError(theta.nu)
+        raise NuTooWeakError(
+            f"nu too weak: nu = {theta.nu} >= -1 does not exclude higher cohomology"
+        )
     dim_a = math.comb(theta.chi, a)
     dim_b = math.comb(theta.chi, b)
     applies = (

@@ -43,15 +43,11 @@ class DomainError(ThetaCalcError, ValueError):
 
 
 class DivisibilityError(DomainError):
-    def __init__(self, divisor: int, dividend: int):
-        self.divisor = divisor
-        self.dividend = dividend
-        super().__init__(f"divisibility: {divisor} does not divide {dividend}")
+    """A divisibility that an operation requires fails."""
 
 
 class LatticeMismatchError(DomainError):
-    def __init__(self, message: str = "classes live in different lattices"):
-        super().__init__(message)
+    """Classes of different lattices combined."""
 
 
 class DegenerateConfigError(DomainError):
@@ -59,11 +55,7 @@ class DegenerateConfigError(DomainError):
 
 
 class NuTooWeakError(DomainError):
-    def __init__(self, nu: int):
-        self.nu = nu
-        super().__init__(
-            f"nu too weak: nu = {nu} >= -1 does not exclude higher cohomology"
-        )
+    """A theta exponent nu too weak to exclude higher cohomology."""
 
 
 # A refusal prints C(n,k) in full while it has at most this many digits.
@@ -83,7 +75,6 @@ class TermBudgetError(ThetaCalcError):
     exit_code = 3
 
     def __init__(self, n: int, k: int, budget: int, weight: int = 1):
-        self.budget = budget
         terms = f"C({decimal_str(n)},{decimal_str(k)})"
         if weight != 1:
             terms = f"{decimal_str(weight)} x {terms}"
@@ -129,6 +120,7 @@ class NotRationalError(ArithmeticBugError):
 
 
 class NotIntegralError(ArithmeticBugError):
-    def __init__(self, value):
-        self.value = value
-        super().__init__(f"not integral: {value}")
+    def __init__(self, num: int, den: int):
+        from fractions import Fraction  # only when the check fails, so queries do not load it
+        self.value = Fraction(num, den)
+        super().__init__(f"not integral: {self.value}")

@@ -102,7 +102,7 @@ class NSClass(Frozen):
 
     def _check(self, other: "NSClass") -> None:
         if self.lattice != other.lattice:
-            raise LatticeMismatchError()
+            raise LatticeMismatchError("classes live in different lattices")
 
     def dot(self, other: "NSClass") -> int:
         self._check(other)
@@ -223,9 +223,7 @@ def chi_abelian(v: MukaiVector, w: MukaiVector, variant: str) -> int:
         num, den = (a - 1) ** 2 * binom, a + b - 2
     value, remainder = divmod(num, den)
     if remainder:
-        from fractions import Fraction  # only for the message, so queries do not load it
-
-        raise NotIntegralError(Fraction(num, den))
+        raise NotIntegralError(num, den)
     return value
 
 

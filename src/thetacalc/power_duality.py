@@ -25,6 +25,7 @@ column C(n,k)-1-i; the Sym^n pairing is diagonal in monomial bases.
 
 import math
 import re
+import sys
 from itertools import accumulate, combinations_with_replacement
 from operator import sub
 
@@ -83,7 +84,7 @@ class WedgeMatrix(Frozen):
         return -1 if (self.size // 2 + self.signs.count(-1)) % 2 else 1
 
 
-def wedge_duality_matrix(n: int, k: int) -> WedgeMatrix:
+def wedge_duality_matrix(n: int, k: int, *, term_budget: int = DEFAULT_TERM_BUDGET) -> WedgeMatrix:
     """Matrix of e_S (x) e_T -> coefficient of e_{1..n} in e_S ^ e_T.
 
     The coefficient is the sign of the shuffle (S ascending, T ascending),
@@ -97,10 +98,11 @@ def wedge_duality_matrix(n: int, k: int) -> WedgeMatrix:
     so there are C(n+1, k') <= 2 C(n, k) signs over all levels.  For
     k > n-k, row i is the complement of row C(n,k)-1-i of the (n-k)-side,
     and swapping the two blocks of a shuffle multiplies its sign by
-    (-1)^(k(n-k)).
+    (-1)^(k(n-k)).  Over the budget, C(n, k) rows raise TermBudgetError.
     """
     if not 0 <= k <= n:
         raise DomainError(f"need 0 <= k <= n, got k={k}, n={n}")
+    check_budget(n, k, term_budget)
     small = min(k, n - k)
     signs = [1]
     for j in range(1, small + 1):
@@ -248,7 +250,7 @@ def parse_ratios(pair) -> tuple[tuple[int, int], tuple[int, int]]:
     The point must be a list of two coordinates, as a model entry must.
     Nothing else is accepted: exponent and decimal notation would let a
     few characters stand for a number of millions of digits.  A numerator
-    or denominator over Python's int digit limit raises ValueError.
+    or denominator over Python's int digit limit raises DomainError.
     """
     if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
         raise DomainError(f"point {pair!r} is not a pair of coordinates")
@@ -265,19 +267,29 @@ def _coordinate(c, pair) -> tuple[int, int]:
     if isinstance(c, int):
         return c, 1
     num, _, den = c.partition("/")
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 where there is none (< 3.10.7)
+    for digits in (num.lstrip("-"), den):
+        if 0 < limit < len(digits):  # refused here: int() words it differently in 3.10 and 3.11
+            raise DomainError(
+                f"Exceeds the limit ({limit} digits) for integer string conversion: value has "
+                f"{len(digits)} digits; use sys.set_int_max_str_digits() to increase the limit"
+            )
     num, den = int(num), int(den or 1)
     if not den:
         raise DomainError(f"zero denominator in point {pair!r}")
     return reduced(num, den)
 
 
-def theta_integer_rows(z_points, w_points, model) -> tuple[list[list[int]], int]:
+def theta_integer_rows(
+    z_points, w_points, model, *, term_budget: int = DEFAULT_TERM_BUDGET
+) -> tuple[list[list[int]], int]:
     """Integer evaluation rows of Z followed by W, and the product of their scales.
 
     Each point is a pair of reduced (num, den) coordinates.  Raises
     DomainError unless |Z| + |W| equals the model size or when a point has
     a zero coordinate that a model monomial raises to a negative power, and
-    DegenerateConfigError when two points coincide.
+    DegenerateConfigError when two points coincide, then TermBudgetError
+    before any row is built when C(n, |Z|) exceeds the budget.
 
     The row of a point (a/b, c/d) is its evaluation covector times
     s = a^-lx b^hx c^-ly d^hy, where lx <= 0 <= hx bound the x exponents
@@ -301,6 +313,7 @@ def theta_integer_rows(z_points, w_points, model) -> tuple[list[list[int]], int]
                     f"point ({ratio_text(*x)}, {ratio_text(*y)}) is a pole "
                     f"of the model monomial x^{ex} y^{ey}"
                 )
+    check_budget(n, len(z_points), term_budget)
     xs = [ex for ex, _ in model] + [0]
     ys = [ey for _, ey in model] + [0]
     lx, hx, ly, hy = min(xs), max(xs), min(ys), max(ys)
@@ -370,9 +383,10 @@ def sym_duality_matrix(
 ) -> SymDualityMatrix:
     """The diagonal pairing of Sym^n(W) and Sym^n(W*), dim W = w_dim.
 
-    Raises TermBudgetError before building anything when the C(w_dim+n-1, n)
-    monomials, w_dim exponents each, exceed the budget.
+    Raises TermBudgetError first when the C(w_dim+n-1, n) monomials, and
+    after the domain check when their w_dim exponents each, exceed the budget.
     """
+    check_budget(w_dim + n - 1, n, term_budget)
     if w_dim < 1 or n < 1:
         raise DomainError("need w_dim >= 1 and n >= 1")
     check_budget(w_dim + n - 1, n, term_budget, weight=w_dim)

@@ -82,7 +82,7 @@ class VerlindeReport(Frozen):
     the level k, which tie sums at different n.
     """
 
-    __slots__ = ("query", "value", "modified_value", "partner_value", "symmetry_holds")
+    __slots__ = ("value", "modified_value", "partner_value", "symmetry_holds")
 
 
 def _distance_exponent_groups(n: int, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -185,9 +185,7 @@ def _integral(num: int, den: int) -> int:
     """num / den, asserted to be a non-negative integer; den > 0."""
     quotient, remainder = divmod(num, den)
     if remainder or quotient < 0:
-        from fractions import Fraction
-
-        raise NotIntegralError(Fraction(num, den))
+        raise NotIntegralError(num, den)
     return quotient
 
 
@@ -253,7 +251,6 @@ def check_rank_level_symmetry(
     value = verlinde_number(query, term_budget=term_budget)
     partner = _integral(value * k**g, r**g)
     return VerlindeReport(
-        query=query,
         value=value,
         modified_value=_integral(value * (r + k) ** g, r**g),
         partner_value=partner,

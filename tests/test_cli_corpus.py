@@ -41,6 +41,7 @@ POINTS_REFUSED = tuple(
     f"tests/golden/corpus_points_{name}.json"
     for name in ("repeat", "pole", "too_long", "point_string", "point_object", "z_object")
 )
+POINTS_HUGE_EXPONENT = "tests/golden/corpus_points_huge_exponent.json"
 # A preset named with a quote, a backslash, a tab, a non-ASCII and a non-BMP character.
 CONFIG_ESCAPE = "tests/golden/corpus_config_escape.json"
 FORMATS = ((), ("--format", "markdown"), ("--format", "csv"))
@@ -131,10 +132,14 @@ def _refusals():
 
 
 def _appended():
-    # Records added after the corpus was written go at its end, so that the
-    # earlier records keep their lines.  1,500 monomials of 1,500 exponents
-    # each: over the budget as exponents, under it as monomials.
+    # Records added after the corpus was written go at its end, each in the
+    # three formats in turn, so that the earlier records keep their lines.
+    # 1,500 monomials of 1,500 exponents each: over the budget as exponents,
+    # under it as monomials.
     yield ["duality", "sym", "1500", "1"]
+    # Over a budget of 1 with rows of 2^(10^7) and 3^(10^7): refused before
+    # the rows are built.
+    yield ["--term-budget", "1", "duality", "theta-vanishes", "--points", POINTS_HUGE_EXPONENT]
 
 
 def corpus_argvs() -> list[list[str]]:
@@ -143,8 +148,8 @@ def corpus_argvs() -> list[list[str]]:
         argvs += [[*fmt, *argv] for argv in _each_op()]
         argvs += [[*fmt, *argv] for argv in _float_rendering()]
         argvs += [[*fmt, *argv] for argv in _refusals()]
-    for fmt in FORMATS:
-        argvs += [[*fmt, *argv] for argv in _appended()]
+    for argv in _appended():
+        argvs += [[*fmt, *argv] for fmt in FORMATS]
     return argvs
 
 

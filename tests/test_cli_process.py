@@ -221,6 +221,22 @@ def test_closed_stdout_exits_0_silently():
     assert (result.returncode, result.stdout, result.stderr) == (0, b"", b"")
 
 
+def test_theta_budget_refusal_builds_no_rows(tmp_path):
+    """Rows of 2^(10^8) and 3^(10^8) would take far longer than the timeout to build."""
+    points = tmp_path / "points.json"
+    points.write_text(json.dumps({"model": [[0, 0], [10**8, 0]], "Z": [[2, 1]], "W": [[3, 1]]}))
+    argv = ["--term-budget", "1", "duality", "theta-vanishes", "--points", str(points)]
+    result = subprocess.run(
+        [sys.executable, "-m", "thetacalc.cli", *argv],
+        capture_output=True,
+        cwd=ROOT,
+        env=_env(),
+        timeout=10,
+    )
+    assert (result.returncode, result.stdout) == (3, b"")
+    assert result.stderr == b"error: term budget exceeded: C(2,1) = 2 > 1\n"
+
+
 class _FailingStream(io.StringIO):
     def write(self, text):
         raise OSError(28, "No space left on device")

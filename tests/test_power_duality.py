@@ -5,6 +5,7 @@ import io
 import json
 import math
 import random
+import sys
 import tempfile
 import tracemalloc
 from fractions import Fraction
@@ -254,6 +255,71 @@ def test_sym_duality_matrix_counts_every_exponent_against_the_budget():
     assert sym_duality_matrix(3, 2, term_budget=18).size == 6
     with pytest.raises(TermBudgetError, match=r"^term budget exceeded: 3 x C\(4,2\) = 18 > 17$"):
         sym_duality_matrix(3, 2, term_budget=17)
+    # C(5,3) = 10 monomials of 3 exponents: a budget of 5 is short of both
+    # counts, and the monomials are refused first.
+    with pytest.raises(TermBudgetError, match=r"^term budget exceeded: C\(5,3\) = 10 > 5$"):
+        sym_duality_matrix(3, 3, term_budget=5)
+    with pytest.raises(TermBudgetError, match=r"^term budget exceeded: 3 x C\(5,3\) = 30 > 29$"):
+        sym_duality_matrix(3, 3, term_budget=29)
+    # n = 0 has C(2,0) = 1 monomial: a budget below 1 refuses it before the domain check.
+    with pytest.raises(TermBudgetError, match=r"^term budget exceeded: C\(2,0\) = 1 > 0$"):
+        sym_duality_matrix(3, 0, term_budget=0)
+    for w_dim, n in ((3, 0), (0, 3), (-2, 3), (3, -1)):
+        with pytest.raises(DomainError, match="need w_dim >= 1 and n >= 1"):
+            sym_duality_matrix(w_dim, n, term_budget=1)
+
+
+def test_wedge_duality_matrix_refuses_over_the_budget():
+    with pytest.raises(TermBudgetError, match=r"^term budget exceeded: C\(20,10\) = 184756 > 184755$"):
+        wedge_duality_matrix(20, 10, term_budget=184_755)
+    assert wedge_duality_matrix(20, 10, term_budget=184_756).size == 184_756
+    with pytest.raises(TermBudgetError, match=r"^term budget exceeded: C\(21,11\) = 352716 > 200000$"):
+        wedge_duality_matrix(21, 11)
+    # An out-of-range k is a domain error under any budget.
+    for n, k in ((3, 4), (3, -1)):
+        with pytest.raises(DomainError, match="need 0 <= k <= n"):
+            wedge_duality_matrix(n, k, term_budget=0)
+
+
+def test_theta_rows_refuse_over_the_budget_after_the_point_checks():
+    one = (1, 1)
+    z, w = [((2, 1), one)], [((3, 1), one)]
+    with pytest.raises(TermBudgetError, match=r"^term budget exceeded: C\(2,1\) = 2 > 1$"):
+        theta_integer_rows(z, w, MODEL3[:2], term_budget=1)
+    assert theta_integer_rows(z, w, MODEL3[:2], term_budget=2) == ([[1, 2], [1, 3]], 1)
+    with pytest.raises(DomainError, match="must equal the model size"):
+        theta_integer_rows(z, [], MODEL3[:2], term_budget=0)
+    with pytest.raises(DegenerateConfigError):
+        theta_integer_rows(z, z, MODEL3[:2], term_budget=0)
+    with pytest.raises(DomainError, match="pole"):
+        theta_integer_rows([((0, 1), one)], w, ((0, 0), (-1, 0)), term_budget=0)
+    # 21 monomials with |Z| = 10: C(21,10) = 352,716 terms over the default budget.
+    model = tuple((i, 0) for i in range(21))
+    points = [(Fraction(i), Fraction(1)) for i in range(21)]
+    with pytest.raises(TermBudgetError, match=r"^term budget exceeded: C\(21,10\) = 352716 > 200000$"):
+        theta_vanishes(points[:10], points[10:], model)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
+def test_coordinate_over_the_int_digit_limit_is_a_domain_error():
+    """The refusal reads the same under every Python that has the limit."""
+    digits = "1" * 4301
+    message = (
+        "Exceeds the limit (4300 digits) for integer string conversion: value has 4301 digits; "
+        "use sys.set_int_max_str_digits() to increase the limit"
+    )
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        for coordinate in (digits, "-" + digits, f"{digits}/3", f"1/{digits}"):
+            with pytest.raises(DomainError) as info:
+                parse_ratios([1, coordinate])
+            assert str(info.value) == message
+        assert parse_ratios([1, "-" + digits[1:]]) == ((1, 1), (-int(digits[1:]), 1))
+        sys.set_int_max_str_digits(5000)
+        assert parse_ratios([1, digits]) == ((1, 1), (int(digits), 1))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_sym_diagonal_against_permutation_count():
@@ -447,7 +513,7 @@ def test_exact_division_checks_can_fail():
 )
 def test_cli_exits_1_when_an_exact_division_fails(rows, k, message, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(
-        power_duality, "theta_integer_rows", lambda z, w, model: ([list(r) for r in rows], 1)
+        power_duality, "theta_integer_rows", lambda z, w, model, term_budget: ([list(r) for r in rows], 1)
     )
     points = tmp_path / "points.json"
     xs = [[1, 2], [3, 4], [5, 6]]
