@@ -42,8 +42,15 @@ POINTS_REFUSED = tuple(
     for name in ("repeat", "pole", "too_long", "point_string", "point_object", "z_object")
 )
 POINTS_HUGE_EXPONENT = "tests/golden/corpus_points_huge_exponent.json"
+# Points files that hold a JSON string, a number and a list instead of an
+# object, one without W, and one whose model is a number.
+POINTS_SHAPES = tuple(
+    f"tests/golden/corpus_points_{name}.json"
+    for name in ("file_string", "file_number", "file_list", "no_w", "model_number")
+)
 # A preset named with a quote, a backslash, a tab, a non-ASCII and a non-BMP character.
 CONFIG_ESCAPE = "tests/golden/corpus_config_escape.json"
+CONFIG_CONTROL = ("tests/golden/corpus_config_nul.json", "tests/golden/corpus_config_cr.json")
 FORMATS = ((), ("--format", "markdown"), ("--format", "csv"))
 
 
@@ -140,6 +147,16 @@ def _appended():
     # Over a budget of 1 with rows of 2^(10^7) and 3^(10^7): refused before
     # the rows are built.
     yield ["--term-budget", "1", "duality", "theta-vanishes", "--points", POINTS_HUGE_EXPONENT]
+    # Presets named with NUL and with CR, which csv.writer refuses or quotes
+    # differently across Python versions.
+    for config in CONFIG_CONTROL:
+        yield ["--config", config, "mukai", "pair", "--v=1:1:0", "--w=1:2:4"]
+    # A JSON integer of 5,000 digits as a term budget and as a coordinate.
+    yield ["--config", "tests/golden/corpus_config_long_budget.json", "verlinde", "2", "1", "2"]
+    yield ["duality", "theta-vanishes", "--points", "tests/golden/corpus_points_json_long.json"]
+    for points in POINTS_SHAPES:
+        yield ["duality", "theta-vanishes", "--points", points]
+    yield ["duality", "theta-vanishes", "--points", ""]
 
 
 def corpus_argvs() -> list[list[str]]:
