@@ -11,13 +11,12 @@ usage error.
 import os
 import sys
 from itertools import chain, islice
-from pathlib import Path
 from types import SimpleNamespace
 
 # The other modules of the package are imported by the handlers that run
 # them, and argparse only for help and usage errors, so that a query loads
 # only what its subcommand needs.
-from .errors import DEFAULT_TERM_BUDGET, DomainError, ThetaCalcError
+from .errors import DEFAULT_TERM_BUDGET, DomainError, ThetaCalcError, decimal_int
 from .errors import decimal_str as _s
 
 ENV_TERM_BUDGET = "THETACALC_TERM_BUDGET"
@@ -40,13 +39,18 @@ SETTINGS = {
 }
 
 
-def _read_json(path: str, kind: str):
+def _read_json(path: str, kind: str) -> dict:
+    """The JSON object of a config or points file, its integers read by ``decimal_int``."""
     import json
 
     try:
-        return json.loads(Path(path).read_text())
+        with open(path) as file:
+            data = json.load(file, parse_int=decimal_int)
     except (OSError, ValueError) as exc:
         raise DomainError(f"cannot read {kind} file: {exc}")
+    if not isinstance(data, dict):
+        raise DomainError(f"{kind} file must hold a JSON object")
+    return data
 
 
 def _resolve_settings(args) -> None:
@@ -58,8 +62,6 @@ def _resolve_settings(args) -> None:
     data = {}
     if args.config:
         data = _read_json(args.config, "config")
-        if not isinstance(data, dict):
-            raise DomainError("config file must hold a JSON object")
     chosen = {}
     for key, (dest, default) in SETTINGS.items():
         value = data.get(key, default)
@@ -223,9 +225,9 @@ def _cmd_duality(args) -> dict:
     # theta-vanishes
     data = _read_json(args.points, "points")
     try:
-        model = pdl.parse_model(data["model"])
+        model = pdl.parse_model(data.get("model"))
         z_points, w_points = pdl.parse_points(data)
-    except (KeyError, ValueError, TypeError) as exc:
+    except DomainError as exc:
         raise DomainError(f"malformed points file: {exc}")
     rows, scale = pdl.theta_integer_rows(z_points, w_points, model, term_budget=args.term_budget)
     # By Laplace expansion along the rows of Z the wedge pairing is the determinant.
@@ -519,8 +521,9 @@ def _json_text(value) -> str:
 def _write(out: dict, fmt: str, stream) -> None:
     """Write ``out`` in ``fmt`` and a newline to ``stream``, a ``_Blocks`` value piece by piece.
 
-    In markdown and csv a str value is its cell as it is, and any other
-    value its JSON text.
+    In markdown and csv a str value is its cell as it is, and any other value its
+    JSON text.  In csv a cell with ",", '"', LF or CR (a list of two or more items
+    has a ",") is quoted, each '"' doubled, as by csv.writer under Python 3.13.
     """
     write = stream.write
     if fmt == "json":
@@ -531,32 +534,19 @@ def _write(out: dict, fmt: str, stream) -> None:
             lead = ","
         write("}\n")
         return
-    cells = [
-        (key, value if isinstance(value, (str, _Blocks)) else _json_text(value))
-        for key, value in out.items()
-    ]
-    if fmt == "markdown":
-        write("| key | value |\n| --- | --- |\n")
-        for key, value in cells:
-            write(f"| {key} | ")
-            stream.writelines(value if type(value) is _Blocks else (value,))
-            write(" |\n")
-        return
-    import csv
-
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(("key", "value"))
-    for key, value in cells:
-        if type(value) is _Blocks:
-            if value.size > 1:
-                # A list of two or more items has a ",", so csv quotes it,
-                # doubling each '"'.  The keys need no quotes.
-                write(f'{key},"')
-                stream.writelines(piece.replace('"', '""') for piece in value)
-                write('"\n')
-                continue
+    markdown = fmt == "markdown"
+    write("| key | value |\n| --- | --- |\n" if markdown else "key,value\n")
+    for key, value in out.items():
+        if type(value) is _Blocks and value.size < 2:
             value = "".join(value)
-        writer.writerow((key, value))
+        elif not isinstance(value, (str, _Blocks)):
+            value = _json_text(value)
+        pieces = value if type(value) is _Blocks else (value,)
+        if not markdown and (type(value) is _Blocks or any(c in value for c in ',"\n\r')):
+            pieces = chain('"', (piece.replace('"', '""') for piece in pieces), '"')
+        write(f"| {key} | " if markdown else f"{key},")
+        stream.writelines(pieces)
+        write(" |\n" if markdown else "\n")
 
 
 def _report(text: str) -> None:

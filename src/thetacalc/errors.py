@@ -17,7 +17,7 @@ def decimal_str(value: int) -> str:
     """An integer in decimal, in full however many digits it has.
 
     Python's int-to-str digit limit is lifted for this conversion only, so
-    that it still refuses over-long integers in config and points files.
+    that ``decimal_int`` still refuses over-long integers read from files.
     """
     try:
         return str(int(value))
@@ -28,6 +28,22 @@ def decimal_str(value: int) -> str:
             return str(int(value))
         finally:
             sys.set_int_max_str_digits(limit)
+
+
+def decimal_int(text: str) -> int:
+    """int() of a JSON integer, or of either side of a "p/q", read from a file.
+
+    Over Python's int digit limit, if any, DomainError in 3.11's words under
+    every version; the sign is not counted, as int() does not count it.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 where there is none (< 3.10.7)
+    digits = len(text) - text.startswith("-")
+    if 0 < limit < digits:
+        raise DomainError(
+            f"Exceeds the limit ({limit} digits) for integer string conversion: value has "
+            f"{digits} digits; use sys.set_int_max_str_digits() to increase the limit"
+        )
+    return int(text)
 
 
 class ThetaCalcError(Exception):

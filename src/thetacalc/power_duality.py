@@ -25,13 +25,12 @@ column C(n,k)-1-i; the Sym^n pairing is diagonal in monomial bases.
 
 import math
 import re
-import sys
 from itertools import accumulate, combinations_with_replacement
 from operator import sub
 
 from ._frozen import Frozen
 from .errors import DEFAULT_TERM_BUDGET, ArithmeticBugError, DegenerateConfigError, DomainError
-from .errors import check_budget, decimal_str
+from .errors import check_budget, decimal_int, decimal_str
 
 # Only the Fraction adapters over the integer cores (det_exact,
 # wedge_coefficients and the _integer_rows they share) import Fraction, so
@@ -221,6 +220,8 @@ def parse_model(data) -> tuple[tuple[int, int], ...]:
     included; a float, a boolean or a string raises DomainError rather
     than being truncated or read as a number.
     """
+    if not isinstance(data, (list, tuple)):
+        raise DomainError("model is not a list of exponent pairs")
     model = []
     for pair in data:
         if not (
@@ -239,7 +240,7 @@ _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 def parse_points(data) -> tuple[list, list]:
     """The points Z and W of a points file, each a JSON list of points read by parse_ratios."""
     for key in ("Z", "W"):
-        if not isinstance(data[key], list):
+        if not isinstance(data.get(key), list):
             raise DomainError(f"{key} is not a list of points")
     return [parse_ratios(p) for p in data["Z"]], [parse_ratios(p) for p in data["W"]]
 
@@ -267,14 +268,7 @@ def _coordinate(c, pair) -> tuple[int, int]:
     if isinstance(c, int):
         return c, 1
     num, _, den = c.partition("/")
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 where there is none (< 3.10.7)
-    for digits in (num.lstrip("-"), den):
-        if 0 < limit < len(digits):  # refused here: int() words it differently in 3.10 and 3.11
-            raise DomainError(
-                f"Exceeds the limit ({limit} digits) for integer string conversion: value has "
-                f"{len(digits)} digits; use sys.set_int_max_str_digits() to increase the limit"
-            )
-    num, den = int(num), int(den or 1)
+    num, den = decimal_int(num), decimal_int(den or "1")
     if not den:
         raise DomainError(f"zero denominator in point {pair!r}")
     return reduced(num, den)

@@ -22,6 +22,7 @@ from thetacalc.errors import (
     TermBudgetError,
     ThetaCalcError,
     check_budget,
+    decimal_int,
 )
 from thetacalc.verlinde import VerlindeQuery, verlinde_number
 
@@ -646,14 +647,62 @@ def test_config_value_types(capsys, tmp_path, config, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+# The refusal of 5,000 digits over the default limit of 4,300, in 3.11's words.
+LIMIT_5000 = (
+    "Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits; "
+    "use sys.set_int_max_str_digits() to increase the limit"
+)
+
+
 def test_json_integer_beyond_conversion_limit(capsys, tmp_path):
     path = tmp_path / "big.json"
     path.write_text('{"term_budget": ' + "1" * 5000 + "}")
-    code, _, err = _run(capsys, "--config", str(path), "verlinde", "2", "1", "2")
-    assert code == 2 and "cannot read config file" in err
+    code, out, err = _run(capsys, "--config", str(path), "verlinde", "2", "1", "2")
+    assert (code, out, err) == (2, "", f"error: cannot read config file: {LIMIT_5000}\n")
     path.write_text('{"model": [[0, 0]], "Z": [], "W": [[' + "1" * 5000 + ", 1]]}")
-    code, _, err = _run(capsys, "duality", "theta-vanishes", "--points", str(path))
-    assert code == 2 and "cannot read points file" in err
+    code, out, err = _run(capsys, "duality", "theta-vanishes", "--points", str(path))
+    assert (code, out, err) == (2, "", f"error: cannot read points file: {LIMIT_5000}\n")
+
+
+def test_decimal_int_refuses_over_the_digit_limit():
+    """The sign is not counted, and with the limit at 0 nothing is refused."""
+    digits = "9" * 4300
+    assert decimal_int(digits) == 10**4300 - 1
+    assert decimal_int("-" + digits) == 1 - 10**4300
+    for text in ("1" + digits, "-1" + digits):
+        with pytest.raises(DomainError) as info:
+            decimal_int(text)
+        assert str(info.value) == (
+            "Exceeds the limit (4300 digits) for integer string conversion: value has 4301 digits; "
+            "use sys.set_int_max_str_digits() to increase the limit"
+        )
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        assert decimal_int("1" * 5000) == (10**5000 - 1) // 9
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ('"model"', "points file must hold a JSON object"),
+        ("12", "points file must hold a JSON object"),
+        ("null", "points file must hold a JSON object"),
+        ('[[[0, 0]], [], [[1, 2]]]', "points file must hold a JSON object"),
+        ('{"Z": [], "W": [[1, 2]]}', "malformed points file: model is not a list of exponent pairs"),
+        ('{"model": 2, "Z": [], "W": [[1, 2]]}', "malformed points file: model is not a list of exponent pairs"),
+        ('{"model": {"0": 0}, "Z": [], "W": [[1, 2]]}', "malformed points file: model is not a list of exponent pairs"),
+        ('{"model": [[0, 0]], "W": [[1, 2]]}', "malformed points file: Z is not a list of points"),
+        ('{"model": [[0, 0]], "Z": []}', "malformed points file: W is not a list of points"),
+    ],
+)
+def test_points_file_shape_refusals(capsys, tmp_path, text, expected):
+    """A points file is an object whose model, Z and W are lists; anything else is refused in words of its own."""
+    path = tmp_path / "points.json"
+    path.write_text(text)
+    assert _run(capsys, "duality", "theta-vanishes", "--points", str(path)) == (2, "", f"error: {expected}\n")
 
 
 def test_config_lattice_presets(capsys, tmp_path):
@@ -733,6 +782,27 @@ def test_settings_precedence(capsys, monkeypatch, tmp_path, config, env, argv, c
         assert expected in out and err == ""
 
 
+# Cells without CR or NUL, where csv.writer quotes alike under Python 3.10-3.13.
+CSV_CELLS = [",", "a,b", '"', 'say "hi"', "a\nb", "\n", "a\tb", " ", "", "plain", "\u00e9", "\U0001d542"]
+
+
+@pytest.mark.parametrize("cell", CSV_CELLS)
+def test_csv_cells_as_csv_writer_writes_them(cell):
+    buffer = io.StringIO()
+    _write({"cell": cell}, "csv", buffer)
+    assert buffer.getvalue() == _rendered({"cell": cell}, "csv")
+
+
+@pytest.mark.parametrize(
+    "cell, text", [("a\rb", '"a\rb"'), ("\r\n", '"\r\n"'), ("a\x00b", "a\x00b"), ("\x00,", '"\x00,"')]
+)
+def test_csv_quotes_cr_and_writes_nul_as_it_is(cell, text):
+    """CR is quoted and NUL written as it is, as csv.writer does under Python 3.13 alone."""
+    buffer = io.StringIO()
+    _write({"cell": cell}, "csv", buffer)
+    assert buffer.getvalue() == f"key,value\ncell,{text}\n"
+
+
 def test_csv_format(capsys):
     code, out, _ = _run(capsys, "--format", "csv", "verlinde", "2", "1", "2")
     assert code == 0
@@ -775,10 +845,11 @@ def test_write_puts_block_text_in_place_and_json_text_refuses_other_types():
 
 @pytest.mark.parametrize("block", [1, 2, 3, 512])
 def test_blocks_of_every_length_in_every_format(monkeypatch, block):
-    """Lists of 0-7 items, cut into blocks of 1, 2, 3 and 512: empty, exact multiples and a
-    remainder; in csv a one-item list with and without a "," or a '"', which csv quotes."""
+    """Lists of 0-7, 512 and 513 items, cut into blocks of 1, 2, 3 and 512: empty, exact
+    multiples and a remainder; in csv a one-item list with and without a "," or a '"',
+    which csv quotes."""
     monkeypatch.setattr(cli, "_BLOCK", block)
-    for size in range(8):
+    for size in (*range(8), 512, 513):
         pairs = [value for i in range(size) for value in (i, -i)]
         words = [str(10**i) for i in range(size)]
         out = {

@@ -49,16 +49,16 @@ SRC = str(Path(thetacalc.__file__).resolve().parent.parent)
 TRACED_CLI = Path(__file__).resolve().parent.parent / "bench" / "traced_cli.py"
 
 
-def _fresh(script: str) -> str:
-    """Stdout of a script run in a fresh interpreter that imports this thetacalc."""
+def _fresh(script: str, *flags: str) -> str:
+    """Stdout of a script run in a fresh interpreter, with ``flags``, that imports this thetacalc."""
     env = dict(os.environ, PYTHONPATH=SRC)
     result = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        [sys.executable, *flags, "-c", script], capture_output=True, text=True, env=env, check=True
     )
     return result.stdout
 
 
-def _loaded_after(argv: list[str]) -> set[str]:
+def _loaded_after(argv: list[str], *flags: str) -> set[str]:
     """Modules in sys.modules after one CLI query in a fresh interpreter.
 
     The script imports json for its own output only after it has listed them.
@@ -73,7 +73,7 @@ def _loaded_after(argv: list[str]) -> set[str]:
         "import json\n"
         "sys.stdout.write(json.dumps(loaded))\n"
     )
-    return set(json.loads(_fresh(script)))
+    return set(json.loads(_fresh(script, *flags)))
 
 
 def test_verlinde_query_imports_only_its_modules():
@@ -109,6 +109,24 @@ def test_float_oracle_runs_without_mpmath():
         "assert main(['verlinde', '3', '4', '2', '--float-oracle']) == 0\n"
     )
     assert '"float_value":"504.0"' in _fresh(script)
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verlinde", "2", "1", "2"],
+        ["--format", "markdown", "verlinde", "2", "1", "2"],
+        ["--format", "csv", "verlinde", "2", "1", "2"],
+        ["--format", "csv", "--config", str(GOLDEN / "corpus_config_escape.json"), "mukai", "pair", "--v=1:1:0", "--w=1:2:4"],
+        ["--format", "csv", "duality", "theta-vanishes", "--points", str(GOLDEN / "corpus_points_forms.json")],
+    ],
+)
+def test_queries_load_neither_csv_nor_pathlib(argv):
+    """Run under -S, since a site-packages .pth file may import pathlib before any query."""
+    assert not {"csv", "pathlib"} & _loaded_after(argv, "-S")
 
 
 def test_mukai_query_imports_only_its_modules():
