@@ -40,17 +40,105 @@ SETTINGS = {
 
 
 def _read_json(path: str, kind: str) -> dict:
-    """The JSON object of a config or points file, its integers read by ``decimal_int``."""
-    import json
+    """The JSON object of a config or points file, its integers read by ``decimal_int``.
 
+    A file in plain JSON (objects, arrays, integers, and strings of printable
+    ASCII without ``"`` and ``\\``, nested at most 32 deep) is read
+    by ``_plain_json``; only a file outside that subset loads json.
+    """
     try:
         with open(path) as file:
-            data = json.load(file, parse_int=decimal_int)
+            text = file.read()
+        data = _plain_json(text)
+        if data is None:
+            import json
+
+            data = json.loads(text, parse_int=decimal_int)
     except (OSError, ValueError) as exc:
         raise DomainError(f"cannot read {kind} file: {exc}")
+    except RecursionError:
+        raise DomainError(f"cannot read {kind} file: JSON nested too deep")
     if not isinstance(data, dict):
         raise DomainError(f"{kind} file must hold a JSON object")
     return data
+
+
+_PLAIN_DEPTH = 32
+# JSON's blanks as a space, and each punctuation mark of objects and arrays
+# between spaces, so that str.split() gives the tokens outside strings.
+_PLAIN_SPACING = str.maketrans({**{c: f" {c} " for c in "[]{},:"}, **dict.fromkeys("\t\n\r", " ")})
+
+
+class _NotPlain(Exception):
+    pass
+
+
+def _is_plain_string(text: str) -> bool:
+    """Whether JSON writes ``text`` between quotes as it is: printable ASCII without ``"`` and ``\\``."""
+    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
+
+
+def _plain_json(text: str):
+    """``json.loads(text, parse_int=decimal_int)`` for plain JSON, or None for any other text.
+
+    The text is split at ``"``: the odd pieces are the strings, the even
+    ones the tokens between them.  A string token keeps its opening ``"``.
+    """
+    pieces = text.split('"')
+    if not len(pieces) % 2:
+        return None
+    tokens = []
+    for i, piece in enumerate(pieces):
+        if i % 2:
+            if not _is_plain_string(piece):
+                return None
+            tokens.append('"' + piece)
+        else:
+            piece = piece.translate(_PLAIN_SPACING)
+            # Printable ASCII leaves the space as the only blank for split().
+            if not (piece.isascii() and piece.isprintable()):
+                return None
+            tokens += piece.split()
+    stream = iter(tokens)
+    try:
+        data = _plain_value(next(stream, None), stream, 1)
+    except _NotPlain:
+        return None
+    return None if next(stream, None) is not None else data
+
+
+def _plain_value(token, stream, depth: int):
+    """The value that starts at ``token``, the rest of it read from ``stream``."""
+    if token is None:
+        raise _NotPlain
+    if token[0] == '"':
+        return token[1:]
+    if token == "[" or token == "{":
+        if depth > _PLAIN_DEPTH:
+            raise _NotPlain
+        closing = "]" if token == "[" else "}"
+        items = [] if token == "[" else {}
+        token = next(stream, None)
+        if token == closing:
+            return items
+        while True:
+            if closing == "]":
+                items.append(_plain_value(token, stream, depth + 1))
+            else:
+                if token is None or token[0] != '"' or next(stream, None) != ":":
+                    raise _NotPlain
+                items[token[1:]] = _plain_value(next(stream, None), stream, depth + 1)
+            token = next(stream, None)
+            if token == closing:
+                return items
+            if token != ",":
+                raise _NotPlain
+            token = next(stream, None)
+    # An integer as JSON writes it: an optional "-", then 0 or digits without a leading 0.
+    digits = token[token[0] == "-" :]
+    if not (digits.isascii() and digits.isdigit()) or (digits[0] == "0" and len(digits) > 1):
+        raise _NotPlain
+    return decimal_int(token)
 
 
 def _resolve_settings(args) -> None:
@@ -77,15 +165,28 @@ def _resolve_settings(args) -> None:
         args.extra_presets = mk.presets_from_json(data["lattice_presets"])
     env_budget = os.environ.get(ENV_TERM_BUDGET)
     if env_budget is not None:
-        try:
-            chosen["term_budget"] = int(env_budget)
-        except ValueError:
-            raise DomainError(f"{ENV_TERM_BUDGET} must be an integer, got {env_budget!r}")
+        [chosen["term_budget"]] = _decimal_ints(
+            [env_budget], ENV_TERM_BUDGET, f"{ENV_TERM_BUDGET} must be an integer, got {env_budget!r}"
+        )
     for dest, value in chosen.items():
         if getattr(args, dest) in (None, ""):
             setattr(args, dest, value)
     if args.format not in FORMATS:
         raise DomainError(f"unknown output format {args.format!r}")
+
+
+def _decimal_ints(texts, what: str, non_integer: str) -> list[int]:
+    """Each text of a command-line value ``what`` read by ``decimal_int``.
+
+    DomainError ``non_integer`` for a text that int() does not read, and one
+    naming ``what`` for an integer over the digit limit, which it does not echo.
+    """
+    try:
+        return [decimal_int(text) for text in texts]
+    except DomainError as exc:
+        raise DomainError(f"{what}: {exc}")
+    except ValueError:
+        raise DomainError(non_integer)
 
 
 def _parse_vector(spec: str, lattice):
@@ -94,20 +195,13 @@ def _parse_vector(spec: str, lattice):
     parts = spec.split(":")
     if len(parts) != 3:
         raise DomainError(f"vector spec must look like 'rank:c1,c2:point', got {spec!r}")
-    try:
-        rank = int(parts[0])
-        coords = tuple(int(c) for c in parts[1].split(","))
-        point = int(parts[2])
-    except ValueError:
-        raise DomainError(f"non-integer entry in vector spec {spec!r}")
-    return mk.MukaiVector(rank, mk.NSClass(lattice, coords), point)
+    entries = [parts[0], *parts[1].split(","), parts[2]]
+    rank, *coords, point = _decimal_ints(entries, "vector spec", f"non-integer entry in vector spec {spec!r}")
+    return mk.MukaiVector(rank, mk.NSClass(lattice, tuple(coords)), point)
 
 
 def _parse_class(spec: str, lattice):
-    try:
-        coords = tuple(int(c) for c in spec.split(","))
-    except ValueError:
-        raise DomainError(f"non-integer entry in class spec {spec!r}")
+    coords = _decimal_ints(spec.split(","), "class spec", f"non-integer entry in class spec {spec!r}")
     return lattice.cls(*coords)
 
 
@@ -502,7 +596,7 @@ def _json_text(value) -> str:
     string that is not printable ASCII without ``"`` and ``\\`` loads json.
     """
     if isinstance(value, str):
-        if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
+        if _is_plain_string(value):
             return f'"{value}"'
         import json
 

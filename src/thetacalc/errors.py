@@ -31,13 +31,14 @@ def decimal_str(value: int) -> str:
 
 
 def decimal_int(text: str) -> int:
-    """int() of a JSON integer, or of either side of a "p/q", read from a file.
+    """int() of an integer from a file or the command line, or of either side of a "p/q".
 
     Over Python's int digit limit, if any, DomainError in 3.11's words under
-    every version; the sign is not counted, as int() does not count it.
+    every version.  Only decimal digits count, as int() counts them in any
+    text it reads: no sign, blank or "_".
     """
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 where there is none (< 3.10.7)
-    digits = len(text) - text.startswith("-")
+    digits = sum(map(str.isdecimal, text))
     if 0 < limit < digits:
         raise DomainError(
             f"Exceeds the limit ({limit} digits) for integer string conversion: value has "

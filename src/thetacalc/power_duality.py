@@ -24,7 +24,6 @@ column C(n,k)-1-i; the Sym^n pairing is diagonal in monomial bases.
 """
 
 import math
-import re
 from itertools import accumulate, combinations_with_replacement
 from operator import sub
 
@@ -234,7 +233,10 @@ def parse_model(data) -> tuple[tuple[int, int], ...]:
     return tuple(model)
 
 
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+def _is_ratio_text(c: str) -> bool:
+    """Whether ``c`` is an optional "-", ASCII digits, and an optional "/" and ASCII digits."""
+    num, slash, den = c.removeprefix("-").partition("/")
+    return c.isascii() and num.isdigit() and (den.isdigit() or not slash)
 
 
 def parse_points(data) -> tuple[list, list]:
@@ -258,7 +260,7 @@ def parse_ratios(pair) -> tuple[tuple[int, int], tuple[int, int]]:
     x, y = pair
     for c in (x, y):
         if isinstance(c, bool) or not (
-            isinstance(c, int) or (isinstance(c, str) and _RATIONAL.fullmatch(c))
+            isinstance(c, int) or (isinstance(c, str) and _is_ratio_text(c))
         ):
             raise DomainError(f"coordinate {c!r} is not an integer or a string 'p/q'")
     return _coordinate(x, pair), _coordinate(y, pair)

@@ -763,6 +763,9 @@ FLOOR = "error: float oracle precision must be >= 15 digits\n"
          "error: THETACALC_TERM_BUDGET must be an integer, got 'x'\n"),
         ({"output_format": "xml"}, None, ("verlinde", "2", "1", "2"), 2,
          "error: unknown output format 'xml'\n"),
+        # an environment value over the int digit limit is not echoed
+        pytest.param(None, "1" * 5000, ("verlinde", "2", "1", "2"), 2,
+                     f"error: THETACALC_TERM_BUDGET: {LIMIT_5000}\n", id="env-over-digit-limit"),
     ],
 )
 def test_settings_precedence(capsys, monkeypatch, tmp_path, config, env, argv, code, expected):
@@ -831,6 +834,119 @@ _json_values = st.recursive(
 @example({"\u00e9": "\U0001d542", "\ud800": ("lone", "\udfff")})
 def test_json_text_equals_compact_json_dumps(value):
     assert _json_text(value) == json.dumps(value, separators=(",", ":"))
+
+
+_printable = st.characters(min_codepoint=0x20, max_codepoint=0x7E)
+_plain_values = st.recursive(
+    st.one_of(st.integers(), st.text(_printable, max_size=6)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.text(_printable, max_size=3), inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+# Characters of JSON and characters just outside the plain subset.
+_MUTATIONS = ' \t\n\r[]{},:"-0123456789.eE+\\/tfnu\x00\x0b\x7f\xa0\u00e9\ufeff\u0661\u00b2x'
+
+
+def _plain_or_declined(text: str):
+    """``cli._plain_json`` returns what json.loads returns, refuses as it refuses, or declines."""
+    try:
+        expected = ("value", json.loads(text, parse_int=decimal_int))
+    except DomainError as exc:
+        expected = ("refused", str(exc))
+    except ValueError:
+        expected = None
+    try:
+        value = cli._plain_json(text)
+    except DomainError as exc:
+        assert expected == ("refused", str(exc))
+        return
+    if value is not None:
+        # Compared as text as well, so that the key order must match.
+        assert expected == ("value", value) and json.dumps(value) == json.dumps(expected[1])
+
+
+@settings(database=None, deadline=None)
+@given(
+    st.one_of(_plain_values, _json_values),
+    st.sampled_from([{}, {"separators": (",", ":")}, {"indent": 1}, {"indent": "\t"}]),
+    st.lists(st.tuples(st.integers(0, 200), st.sampled_from(_MUTATIONS), st.integers(0, 2)), max_size=3),
+)
+def test_plain_reader_reads_as_json_loads_or_declines(value, layout, mutations):
+    text = json.dumps(value, **layout)
+    for at, char, op in mutations:
+        at %= len(text) + 1
+        text = text[:at] + char * (op != 1) + text[at + (op != 0) :]
+    _plain_or_declined(text)
+
+
+def test_plain_reader_reads_points_and_config_files():
+    """Every points and config file of the corpus, the last of duplicate keys, and 32 levels."""
+    for path in sorted(GOLDEN_DIR.glob("corpus_*.json")):
+        _plain_or_declined(path.read_text())
+    assert cli._plain_json(GOLDEN_DIR.joinpath("corpus_points_forms.json").read_text()) is not None
+    assert list(cli._plain_json(' {"b": 1, "a" :[ ], "b":\r\n-0 }\n').items()) == [("b", 0), ("a", [])]
+    assert cli._plain_json("[" * 32 + "]" * 32) == json.loads("[" * 32 + "]" * 32)
+    assert cli._plain_json('{"a":' * 32 + "1" + "}" * 32) == json.loads('{"a":' * 32 + "1" + "}" * 32)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '["a\\"b"]',
+        '{"\\u00e9": 1}',
+        '["\u00e9"]',
+        '["tab\t"]',
+        "[1.5]",
+        "[1e5]",
+        "[01]",
+        "[-01]",
+        "[+1]",
+        "[-]",
+        "[true]",
+        "[false]",
+        "null",
+        "\ufeff{}",
+        "{}\x0b",
+        "{} {}",
+        "{} x",
+        '"open',
+        "",
+        "[1,]",
+        '{"a" 1}',
+        '{"a":1,}',
+        "[" * 33 + "]" * 33,
+        '{"a":' * 33 + "1" + "}" * 33,
+    ],
+)
+def test_plain_reader_declines_text_outside_the_subset(text):
+    assert cli._plain_json(text) is None
+
+
+def test_plain_reader_refuses_a_long_integer_as_json_loads_does():
+    text = '{"model": [[0, 0]], "Z": [], "W": [[' + "1" * 5000 + ", 1]]}"
+    with pytest.raises(DomainError) as plain:
+        cli._plain_json(text)
+    with pytest.raises(DomainError) as loaded:
+        json.loads(text, parse_int=decimal_int)
+    assert str(plain.value) == str(loaded.value) == LIMIT_5000
+
+
+def test_file_nested_too_deep_is_refused(capsys, tmp_path):
+    """Nesting past the recursion limit is refused in one line, for arrays and objects alike."""
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert _run(capsys, "--config", str(path), "verlinde", "2", "1", "2") == (
+        2,
+        "",
+        "error: cannot read config file: JSON nested too deep\n",
+    )
+    path.write_text('{"a":' * 100_000 + "1" + "}" * 100_000)
+    assert _run(capsys, "duality", "theta-vanishes", "--points", str(path)) == (
+        2,
+        "",
+        "error: cannot read points file: JSON nested too deep\n",
+    )
 
 
 def test_write_puts_block_text_in_place_and_json_text_refuses_other_types():

@@ -157,6 +157,10 @@ def _appended():
     for points in POINTS_SHAPES:
         yield ["duality", "theta-vanishes", "--points", points]
     yield ["duality", "theta-vanishes", "--points", ""]
+    # An integer of 5,000 digits in a vector spec and in a class spec: refused
+    # over the digit limit without echoing it.
+    yield ["--lattice", "abelian_pp", "mukai", "pair", f"--v={'1' * 5000}:1:0", "--w=1:2:4"]
+    yield ["mukai", "conjecture", "--v=1:0,1:-1", "--w=2:1,3:-1", f"--H=1,{'1' * 5000}"]
 
 
 def corpus_argvs() -> list[list[str]]:

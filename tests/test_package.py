@@ -129,6 +129,19 @@ def test_queries_load_neither_csv_nor_pathlib(argv):
     assert not {"csv", "pathlib"} & _loaded_after(argv, "-S")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["duality", "wedge", "16", "8"],
+        ["duality", "sym", "3", "4"],
+        ["duality", "theta-vanishes", "--points", str(GOLDEN / "corpus_points_forms.json")],
+    ],
+)
+def test_duality_queries_load_neither_re_nor_json(argv):
+    """A plain points file is read without json; run under -S, as a .pth file may import re."""
+    assert not {"re", "json"} & _loaded_after(argv, "-S")
+
+
 def test_mukai_query_imports_only_its_modules():
     loaded = _loaded_after(["mukai", "pair", "--v=1:1,0:0", "--w=0:0,1:2"])
     assert "thetacalc.mukai" in loaded
@@ -197,7 +210,7 @@ def test_well_formed_queries_do_not_load_argparse(argv):
     ],
 )
 def test_queries_do_not_load_json(argv, fmt):
-    """Output is rendered without json; only input files and escaped strings load it."""
+    """Output is rendered without json; only escaped strings and input files outside the plain subset load it."""
     assert "json" not in _loaded_after(["--format", fmt, *argv])
 
 
@@ -219,7 +232,7 @@ def test_wedge_and_sym_queries_do_not_load_fractions(argv):
 
 @pytest.mark.parametrize("name", ["true", "forms", "laurent", "z_empty", "rank_deficient"])
 def test_theta_query_does_not_load_fractions(name):
-    """theta-vanishes computes in integers; it loads json only to read its points file."""
+    """theta-vanishes computes in integers."""
     points = Path(__file__).resolve().parent / "golden" / f"corpus_points_{name}.json"
     loaded = _loaded_after(["duality", "theta-vanishes", "--points", str(points)])
     assert not {"fractions", "decimal", "numbers"} & loaded

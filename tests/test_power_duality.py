@@ -5,6 +5,7 @@ import io
 import json
 import math
 import random
+import re
 import sys
 import tempfile
 import tracemalloc
@@ -13,7 +14,7 @@ from itertools import permutations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thetacalc import power_duality
@@ -381,6 +382,19 @@ def test_point_parsing_errors():
     for coordinate in ("1e10000000", "2E3", "0.5", ".5", "1_000", "-1/-2", 1.5, False):
         with pytest.raises(DomainError, match="not an integer or a string 'p/q'"):
             parse_ratios([1, coordinate])
+
+
+@settings(database=None, deadline=None)
+@given(st.text(st.sampled_from("-/0123456789\u0661\u00b2\uff11x \n"), max_size=8))
+@example("\u0661")
+@example("\u00b2")
+@example("1\n")
+@example("-1/2")
+@example("--1")
+@example("1/")
+def test_ratio_text_check_accepts_what_the_rational_pattern_fullmatches(text):
+    """An optional "-", ASCII digits, and an optional "/" and ASCII digits: no other digits."""
+    assert power_duality._is_ratio_text(text) == bool(re.fullmatch(r"-?[0-9]+(/[0-9]+)?", text))
 
 
 def test_points_must_be_lists_of_pairs():
